@@ -3,8 +3,8 @@
 // Produces BENCH_lut_cache.json — the repo's first committed perf-trajectory
 // datapoint. Regenerate with:
 //
-//   ./build/bench/bench_lut_cache --benchmark_out=BENCH_lut_cache.json \
-//       --benchmark_out_format=json
+//   ./build/bench/bench_lut_cache --benchmark_out=BENCH_lut_cache.json
+//       --benchmark_out_format=json   (one command line)
 //
 // (CI runs the same with --benchmark_min_time=0.01 and uploads the JSON as
 // an artifact per PR, so the trajectory accumulates.)

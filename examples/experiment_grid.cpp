@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,11 +29,15 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"threads", "slices", "lut", "seed", "models", "scenarios",
+                     "trace", "no-lut-cache", "json", "csv", "with-slices",
+                     "quiet"});
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
   workload::ScenarioConfig wc;
-  wc.slices = static_cast<int>(cli.get_int("slices", 20));
+  wc.slices = static_cast<int>(cli.get_int("slices", 20, 1, kIntMax));
 
   exp::ExperimentSpec spec;
   spec.name = "experiment-grid";
@@ -94,13 +99,13 @@ int main(int argc, char** argv) {
 
   // Base config (LUT resolution keeps small grids fast).
   sys::SystemConfig base;
-  const auto lut = static_cast<int>(cli.get_int("lut", 96));
+  const auto lut = static_cast<int>(cli.get_int("lut", 96, 1, kIntMax));
   base.lut_t_entries = lut;
   base.lut_k_blocks = lut;
   spec.variants.push_back({"", base});
 
   exp::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0, 0, 1024));
   opts.keep_slices = cli.get_bool("with-slices", false);
   opts.share_luts = !cli.get_bool("no-lut-cache", false);
   placement::LutCache lut_cache;  // private per invocation, deterministic stats
@@ -154,4 +159,9 @@ int main(int argc, char** argv) {
     if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (a malformed number, an unknown flag) fails loudly with the
+  // cause, never as a silently different run.
+  std::fprintf(stderr, "experiment_grid: %s\n", e.what());
+  return 2;
 }

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,8 @@
 using namespace hhpim;
 
 namespace {
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 int write_stream(const std::string& path, bool quiet, const char* what,
                  const std::function<void(std::ostream&)>& writer) {
@@ -63,13 +66,21 @@ int write_stream(const std::string& path, bool quiet, const char* what,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"devices", "threads", "slices", "shard-size", "claim-batch",
+                     "models", "scenarios", "seed", "lut", "capacity-mj",
+                     "initial-soc", "soc-low", "soc-high", "no-adapt",
+                     "join-fraction", "leave-fraction", "charge-period",
+                     "charge-window", "charge-mj", "envelope", "envelope-min",
+                     "envelope-max", "envelope-seed", "checkpoint-every",
+                     "snapshot-dir", "no-lut-cache", "no-device-memo",
+                     "no-results", "jsonl", "summary", "shard-dir", "quiet"});
 
   fleet::FleetSpec spec;
   spec.name = "fleet-sim";
-  spec.devices = static_cast<int>(cli.get_int("devices", 1000));
-  spec.slices = static_cast<int>(cli.get_int("slices", 20));
+  spec.devices = static_cast<int>(cli.get_int("devices", 1000, 0, kIntMax));
+  spec.slices = static_cast<int>(cli.get_int("slices", 20, 1, kIntMax));
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0x5eed2025));
   spec.battery.capacity = Energy::mj(cli.get_double("capacity-mj", 250.0));
   spec.battery.initial_soc = cli.get_double("initial-soc", 1.0);
@@ -79,8 +90,8 @@ int main(int argc, char** argv) {
 
   spec.lifecycle.join_fraction = cli.get_double("join-fraction", 0.0);
   spec.lifecycle.leave_fraction = cli.get_double("leave-fraction", 0.0);
-  spec.charging.period = static_cast<int>(cli.get_int("charge-period", 0));
-  spec.charging.window = static_cast<int>(cli.get_int("charge-window", 0));
+  spec.charging.period = static_cast<int>(cli.get_int("charge-period", 0, 0, kIntMax));
+  spec.charging.window = static_cast<int>(cli.get_int("charge-window", 0, 0, kIntMax));
   spec.charging.energy_per_slice = Energy::mj(cli.get_double("charge-mj", 0.0));
 
   const std::string envelope_arg = cli.get("envelope", "");
@@ -98,7 +109,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("envelope-seed", 0xd1a2025));
   }
 
-  const auto lut = static_cast<int>(cli.get_int("lut", 96));
+  const auto lut = static_cast<int>(cli.get_int("lut", 96, 1, kIntMax));
   spec.config.lut_t_entries = lut;
   spec.config.lut_k_blocks = lut;
 
@@ -133,9 +144,9 @@ int main(int argc, char** argv) {
   }  // "mix" = FleetSpec's default dynamic mix
 
   fleet::FleetOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  opts.shard_size = static_cast<std::size_t>(cli.get_int("shard-size", 256));
-  opts.claim_batch = static_cast<std::size_t>(cli.get_int("claim-batch", 0));
+  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0, 0, 1024));
+  opts.shard_size = static_cast<std::size_t>(cli.get_int("shard-size", 256, 1, kIntMax));
+  opts.claim_batch = static_cast<std::size_t>(cli.get_int("claim-batch", 0, 0, kIntMax));
   opts.share_luts = !cli.get_bool("no-lut-cache", false);
   opts.shard_dir = cli.get("shard-dir", "");
   opts.keep_results = !cli.get_bool("no-results", false);
@@ -155,7 +166,7 @@ int main(int argc, char** argv) {
   }
 
   const int checkpoint_every =
-      static_cast<int>(cli.get_int("checkpoint-every", 0));
+      static_cast<int>(cli.get_int("checkpoint-every", 0, 0, kIntMax));
   const std::string snapshot_dir = cli.get("snapshot-dir", "");
   const bool quiet = cli.get_bool("quiet", false);
 
@@ -262,4 +273,9 @@ int main(int argc, char** argv) {
                 opts.shard_dir.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (a malformed number, an unknown flag, an invalid spec) fails
+  // loudly with the cause, never as a silently different run.
+  std::fprintf(stderr, "fleet_sim: %s\n", e.what());
+  return 2;
 }

@@ -21,9 +21,11 @@
 // down narrows the gap between the anchor and the min-latency point (less to
 // place, less room to trade), while the SRAM floor tracks how much of the
 // variant must stay resident to meet the SLO at all.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -91,11 +93,14 @@ FrontierMetrics frontier_metrics(const sys::SystemConfig& cfg, const nn::Model& 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"threads", "slices", "lut", "seed", "models", "scales",
+                     "scenarios", "slo-frac", "csv", "quiet"});
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
   workload::ScenarioConfig wc;
-  wc.slices = static_cast<int>(cli.get_int("slices", 12));
+  wc.slices = static_cast<int>(cli.get_int("slices", 12, 1, kIntMax));
 
   exp::ExperimentSpec spec;
   spec.name = "pareto-nas";
@@ -107,8 +112,10 @@ int main(int argc, char** argv) {
   // Width-scale ladder.
   std::vector<double> scales;
   for (const std::string& s : split(cli.get("scales", "0.50,0.75,1.00"), ',')) {
-    const double v = std::strtod(trim(s).c_str(), nullptr);
-    if (v <= 0.0) {
+    const std::string t = trim(s);
+    char* end = nullptr;
+    const double v = std::strtod(t.c_str(), &end);
+    if (t.empty() || end != t.c_str() + t.size() || !std::isfinite(v) || v <= 0.0) {
       std::fprintf(stderr, "bad --scales entry '%s' (need positive factors)\n", s.c_str());
       return 1;
     }
@@ -159,13 +166,13 @@ int main(int argc, char** argv) {
   }
 
   sys::SystemConfig base_cfg;
-  const auto lut = static_cast<int>(cli.get_int("lut", 64));
+  const auto lut = static_cast<int>(cli.get_int("lut", 64, 1, kIntMax));
   base_cfg.lut_t_entries = lut;
   base_cfg.lut_k_blocks = lut;
   spec.variants.push_back({"", base_cfg});
 
   exp::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0, 0, 1024));
   opts.share_luts = true;
   placement::LutCache lut_cache;  // private per invocation, deterministic stats
   opts.lut_cache = &lut_cache;
@@ -232,4 +239,9 @@ int main(int argc, char** argv) {
     if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (a malformed number, an unknown flag) fails loudly with the
+  // cause, never as a silently different run.
+  std::fprintf(stderr, "pareto_nas: %s\n", e.what());
+  return 2;
 }

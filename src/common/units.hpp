@@ -2,8 +2,8 @@
 //
 // Conventions:
 //   * Time is an integer number of picoseconds. Integer time makes the
-//     discrete-event simulation deterministic (no floating-point event-order
-//     ambiguity) and is exact for every latency in the paper's Table III
+//     busy-until arithmetic deterministic (no floating-point rounding in
+//     time comparisons) and is exact for every latency in the paper's Table III
 //     (all are multiples of 10 ps).
 //   * Energy is a double number of picojoules.
 //   * Power is a double number of milliwatts.

@@ -16,7 +16,7 @@ sys::SystemConfig Device::device_config(const FleetSpec& fleet,
   sys::SystemConfig c = fleet.resolved_firmware()[spec.firmware_index];
   // The spec's own lut_cache is rejected by FleetSpec::validate(); the
   // simulator's resolved cache (may be null = private builds) is the only
-  // one devices ever see, so its stats delta covers every build.
+  // one devices ever see.
   c.lut_cache = lut_cache;
   return c;
 }
@@ -95,14 +95,9 @@ int Device::total_steps(const std::vector<int>& loads) const {
 DeviceResult Device::run(FleetAggregate* agg) {
   std::vector<int> loads;
   device_loads_into(spec_, fleet_.envelope_multipliers(), loads);
-  return run(agg, loads, nullptr);
-}
-
-DeviceResult Device::run(FleetAggregate* agg, const std::vector<int>& loads,
-                         OutcomeRecorder* recorder) {
   DeviceProgress p;
   start_progress(p, loads);
-  run_steps(p, loads, total_steps(loads), agg, recorder);
+  run_steps(p, loads, total_steps(loads), agg, nullptr);
   if (agg != nullptr) agg->add_device(p.result);
   return p.result;
 }

@@ -127,17 +127,6 @@ class Device {
   /// into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 
-  /// Same, with the load trace precomputed by the caller (`loads` must
-  /// equal device_loads(spec) with the fleet envelope applied) and optional
-  /// outcome recording: when `recorder` is non-null, every executed slice
-  /// appends one (SliceOutcomeKey, SliceOutcome) pair chained through
-  /// Processor::state_digest() — the exact-path side of the fleet's
-  /// device-level memo (recorder->reuse_key must be the processor's
-  /// sys::processor_reuse_key). Recording changes wall-clock only, never
-  /// the result. Call once.
-  DeviceResult run(FleetAggregate* agg, const std::vector<int>& loads,
-                   OutcomeRecorder* recorder);
-
   // --- segmented execution (fleet checkpoint/restore) ----------------------
   // A whole run is: start_progress once, then run_steps in one or more
   // [next_k, k_end) windows — capture_progress / restore_progress (plus a
@@ -169,7 +158,12 @@ class Device {
   /// p. Returns true when the stream completed (drained, left early, or
   /// exhausted). With `agg` non-null, samples post directly; with
   /// `buffer_samples`, they append to p's sample vectors instead (segmented
-  /// runs — replayed into the aggregate by the final segment).
+  /// runs — replayed into the aggregate by the final segment). When
+  /// `recorder` is non-null, every executed slice appends one
+  /// (SliceOutcomeKey, SliceOutcome) pair chained through
+  /// Processor::state_digest() — the exact-path side of the fleet's
+  /// device-level memo (recorder->reuse_key must be the processor's
+  /// sys::processor_reuse_key). Recording changes wall-clock only.
   bool run_steps(DeviceProgress& p, const std::vector<int>& loads, int k_end,
                  FleetAggregate* agg, OutcomeRecorder* recorder,
                  bool buffer_samples = false);

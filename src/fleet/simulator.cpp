@@ -6,6 +6,7 @@
 #include <exception>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "common/align.hpp"
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
+#include "hhpim/processor_pool.hpp"
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::fleet {
@@ -172,9 +174,93 @@ std::string shard_path(const std::string& dir, std::size_t shard) {
   return dir + "/" + name;
 }
 
+/// The LUT-cache key a Processor built from (cfg, model) resolves through —
+/// mirrors the kHhpim branch of the Processor constructor, without
+/// constructing one. Only meaningful for an HH-PIM arch.
+placement::LutCacheKey device_lut_key(const sys::SystemConfig& cfg,
+                                      const nn::Model& model) {
+  const placement::CostModel cost = placement::CostModel::build(
+      sys::resolved_power_spec(cfg), cfg.arch.hp_shape(), cfg.arch.lp_shape(),
+      model.uses_per_weight());
+  placement::LutParams lp;
+  lp.slice = sys::derived_slice_length(cfg, model);
+  lp.total_weights = model.effective_params();
+  lp.t_entries = cfg.lut_t_entries;
+  lp.k_blocks = cfg.lut_k_blocks;
+  return placement::LutCacheKey::make(model.topology_hash(),
+                                      cfg.arch.config_hash(), cost, lp);
+}
+
+/// The summary's LUT economy, a function of the spec alone: `lut_builds` is
+/// the number of distinct LUT-cache keys over the HH-PIM (firmware, model)
+/// pairs the devices use — what a cold cache builds, once per key, at any
+/// thread count — and `lut_shared` the HH-PIM devices that ran on a build
+/// some other device made. Static-arch devices never touch the cache. A
+/// warm cache, a segment boundary or a process restart changes neither.
+void count_lut_builds(const std::vector<DeviceSpec>& devices,
+                      const std::vector<nn::Model>& models,
+                      const std::vector<sys::SystemConfig>& firmwares,
+                      FleetResult& out) {
+  const std::size_t n_models = models.size();
+  std::vector<char> used(firmwares.size() * n_models, 0);
+  std::uint64_t hhpim_devices = 0;
+  for (const DeviceSpec& ds : devices) {
+    if (firmwares[ds.firmware_index].arch.kind != sys::ArchKind::kHhpim) continue;
+    ++hhpim_devices;
+    used[ds.firmware_index * n_models + ds.model_index] = 1;
+  }
+  std::vector<placement::LutCacheKey> keys;
+  for (std::size_t pair = 0; pair < used.size(); ++pair) {
+    if (used[pair] == 0) continue;
+    const placement::LutCacheKey key =
+        device_lut_key(firmwares[pair / n_models], models[pair % n_models]);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
+  }
+  out.lut_builds = keys.size();
+  out.lut_shared = hhpim_devices - keys.size();
+}
+
+/// Posts a device's buffered per-slice samples to `agg` in slice order —
+/// exactly what Device::run_steps posts live.
+void add_samples(FleetAggregate& agg, const DeviceProgress& p) {
+  const Time slice = Time::ps(p.result.slice_ps);
+  for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
+    const Time busy = Time::ps(p.sample_busy_ps[k]);
+    agg.add_slice(busy / slice, busy.as_us(),
+                  Energy::pj(p.sample_energy_pj[k]).as_mj());
+  }
+}
+
 }  // namespace
 
 FleetResult FleetSimulator::run(const FleetSpec& spec) const {
+  FleetResult result;
+  (void)run_segment(spec, spec.slices, nullptr, &result);
+  return result;
+}
+
+FleetSnapshot FleetSimulator::run_to(const FleetSpec& spec, int end_slice,
+                                     const FleetSnapshot* from) const {
+  const int start = from != nullptr ? from->next_slice : 0;
+  if (end_slice <= start || end_slice > spec.slices) {
+    throw std::invalid_argument(
+        "FleetSimulator::run_to: end_slice must lie in (" +
+        std::to_string(start) + ", " + std::to_string(spec.slices) + "]");
+  }
+  return run_segment(spec, end_slice, from, nullptr);
+}
+
+FleetResult FleetSimulator::resume(const FleetSpec& spec,
+                                   const FleetSnapshot& from) const {
+  FleetResult result;
+  (void)run_segment(spec, spec.slices, &from, &result);
+  return result;
+}
+
+FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
+                                          const FleetSnapshot* from,
+                                          FleetResult* final_out) const {
+  const bool final_segment = final_out != nullptr;
   const std::vector<DeviceSpec> device_specs = spec.expand();
   const std::vector<nn::Model> models = spec.resolved_models();
   const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
@@ -183,25 +269,64 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
   // worker (empty = no envelope).
   const std::vector<double> env = spec.envelope_multipliers();
   placement::LutCache* const cache = resolve_lut_cache();
-  const placement::LutCache::Stats stats_before =
-      cache != nullptr ? cache->stats() : placement::LutCache::Stats{};
-  OutcomeCache* const memo = resolve_outcome_cache();
+  // The memo lanes run devices that start and finish inside this call. A
+  // bounded segment stops devices mid-stream, which a lane cannot park at,
+  // so it runs the exact path throughout.
+  OutcomeCache* const memo = final_segment ? resolve_outcome_cache() : nullptr;
   const OutcomeCache::Stats memo_before =
       memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
-
   const std::size_t n = device_specs.size();
+  const std::uint64_t digest =
+      from != nullptr || !final_segment ? spec.content_digest() : 0;
+
+  if (from != nullptr) {
+    if (from->spec_digest != digest) {
+      throw std::runtime_error(
+          "snapshot: spec mismatch — the snapshot's content digest differs "
+          "from this FleetSpec's (models, firmware, workload, lifecycle, "
+          "battery, envelope or seed changed between segments)");
+    }
+    if (from->devices.size() != n) {
+      throw std::runtime_error("snapshot: device count mismatch");
+    }
+    if (from->next_slice > spec.slices) {
+      throw std::runtime_error("snapshot: next_slice beyond the fleet horizon");
+    }
+  }
+
+  // A bounded segment advances a copy of `from`'s progress (or fresh
+  // progress) into the snapshot it returns. The final segment reads `from`
+  // in place and, with no snapshot to read (run()), keeps no per-device
+  // progress at all.
+  FleetSnapshot snap;
+  if (!final_segment) {
+    snap.spec_digest = digest;
+    snap.next_slice = end_slice;
+    if (from != nullptr) {
+      snap.devices = from->devices;
+    } else {
+      snap.devices.resize(n);
+    }
+  }
+  // Starts its stream in this call: no earlier segment touched it.
+  const auto fresh = [from](std::size_t i) {
+    return from == nullptr || !from->devices[i].started;
+  };
+
   const std::size_t shard_size = options_.shard_size;
   const std::size_t shards = n == 0 ? 0 : (n + shard_size - 1) / shard_size;
 
-  FleetResult result{.fleet_name = spec.name,
-                     .devices = {},
-                     .model_names = {},
-                     .aggregate = FleetAggregate{spec.histograms},
-                     .shard_count = shards,
-                     .shard_size = shard_size};
-  result.model_names.reserve(models.size());
-  for (const nn::Model& m : models) result.model_names.push_back(m.name());
-  if (options_.keep_results) result.devices.resize(n);
+  if (final_segment) {
+    *final_out = FleetResult{.fleet_name = spec.name,
+                             .devices = {},
+                             .model_names = {},
+                             .aggregate = FleetAggregate{spec.histograms},
+                             .shard_count = shards,
+                             .shard_size = shard_size};
+    final_out->model_names.reserve(models.size());
+    for (const nn::Model& m : models) final_out->model_names.push_back(m.name());
+    if (options_.keep_results) final_out->devices.resize(n);
+  }
 
   // One slot per shard, each on its own cache line: a worker finishing
   // shard s move-assigns into slot s while a sibling fills s±1 — without
@@ -209,97 +334,50 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
   struct alignas(kCacheLine) ShardSlot {
     FleetAggregate agg;
   };
-  std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
+  std::vector<ShardSlot> shard_aggs(final_segment ? shards : 0,
+                                    ShardSlot{FleetAggregate{spec.histograms}});
 
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-
-  // Checkout pool of reusable processors, one freelist per (firmware,
-  // model) pair — flattened as firmware * n_models + model — shared by all
-  // workers (reuse_processors): the pair fully determines a device's
-  // processor. Sharing the pool bounds constructions by the peak per-pair
-  // overlap — a per-worker pool would construct workers × pairs
-  // processors, which is exactly what made 8 oversubscribed workers slower
-  // than 1 on a single core. Checkout/return are pointer pops under a
-  // per-pair mutex, held for nanoseconds against device runs of tens of
-  // microseconds; each freelist sits on its own cache line.
-  struct alignas(kCacheLine) ModelPool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<sys::Processor>> idle;
-  };
-  const bool reuse = options_.reuse_processors;
+  // Per (firmware, model) pair — flattened as firmware * n_models + model,
+  // which fully determines a device's processor — its SystemConfig and its
+  // processor_reuse_key.
   const std::size_t n_pairs = firmwares.size() * n_models;
-  std::vector<ModelPool> model_pools(reuse ? n_pairs : 0);
-  std::vector<sys::SystemConfig> fw_cfgs;
-  if (reuse || memo != nullptr) {
-    fw_cfgs.reserve(firmwares.size());
-    for (const sys::SystemConfig& fw : firmwares) {
-      sys::SystemConfig c = fw;
-      c.lut_cache = cache;
-      fw_cfgs.push_back(c);
-    }
+  std::vector<sys::SystemConfig> fw_cfgs = firmwares;
+  for (sys::SystemConfig& c : fw_cfgs) c.lut_cache = cache;
+  std::vector<std::uint64_t> reuse_keys(n_pairs);
+  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
+    reuse_keys[pair] = sys::processor_reuse_key(fw_cfgs[pair / n_models],
+                                                models[pair % n_models]);
   }
   const auto pair_of = [n_models](const DeviceSpec& ds) {
     return ds.firmware_index * n_models + ds.model_index;
   };
+  // Processors come from one checkout pool shared by every worker
+  // (reuse_processors), so the number constructed is bounded by the peak
+  // per-key overlap, not by workers × pairs.
+  sys::ProcessorPool pool;
+  const bool reuse = options_.reuse_processors;
 
-  // Returns a processor for pair `p` in just-constructed state (pooled ones
-  // are reset() outside the lock; construction also happens outside the
-  // lock).
-  auto checkout = [&](std::size_t pair) {
-    ModelPool& mp = model_pools[pair];
-    std::unique_ptr<sys::Processor> p;
-    {
-      const std::lock_guard<std::mutex> lock{mp.mu};
-      if (!mp.idle.empty()) {
-        p = std::move(mp.idle.back());
-        mp.idle.pop_back();
-      }
-    }
-    if (p != nullptr) {
-      p->reset();
-      return p;
-    }
-    return std::make_unique<sys::Processor>(fw_cfgs[pair / n_models],
-                                            models[pair % n_models]);
-  };
-  auto give_back = [&](std::size_t pair, std::unique_ptr<sys::Processor> p) {
-    ModelPool& mp = model_pools[pair];
-    const std::lock_guard<std::mutex> lock{mp.mu};
-    mp.idle.push_back(std::move(p));
-  };
-
-  // Per-pair constants of the memo path, computed once up front. Only
-  // pairs some device actually uses get a processor built here — building
-  // an unused pair's LUT would bump lut_builds and break the memo-on /
-  // memo-off byte-identity of the summary. Pool processors are checked out
-  // and returned, so nothing extra is constructed under reuse.
-  struct ModelMemoInfo {
-    std::uint64_t reuse_key = 0;
+  // Per-pair constants of the memo lanes, computed once up front. Only
+  // pairs some lane device uses get a processor built here — an unused
+  // pair's would cost a LUT build for nothing.
+  struct PairMemoInfo {
     std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
     Time slice = Time::zero();
     std::int64_t slice_ps = 0;
   };
-  std::vector<ModelMemoInfo> model_info(memo != nullptr ? n_pairs : 0);
-  if (memo != nullptr && n > 0) {
+  std::vector<PairMemoInfo> memo_info(memo != nullptr ? n_pairs : 0);
+  if (memo != nullptr) {
     std::vector<char> used(n_pairs, 0);
-    for (const DeviceSpec& ds : device_specs) used[pair_of(ds)] = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (fresh(i)) used[pair_of(device_specs[i])] = 1;
+    }
     for (std::size_t pair = 0; pair < n_pairs; ++pair) {
       if (used[pair] == 0) continue;
-      ModelMemoInfo& info = model_info[pair];
-      info.reuse_key = sys::processor_reuse_key(fw_cfgs[pair / n_models],
-                                                models[pair % n_models]);
-      if (reuse) {
-        std::unique_ptr<sys::Processor> p = checkout(pair);
-        info.init_state = p->state_digest();
-        info.slice = p->slice_length();
-        give_back(pair, std::move(p));
-      } else {
-        const sys::Processor p{fw_cfgs[pair / n_models], models[pair % n_models]};
-        info.init_state = p.state_digest();
-        info.slice = p.slice_length();
-      }
+      const sys::ProcessorPool::Lease lease = pool.checkout(
+          reuse_keys[pair], fw_cfgs[pair / n_models], models[pair % n_models]);
+      PairMemoInfo& info = memo_info[pair];
+      info.init_state = lease.get().state_digest();
+      info.slice = lease.get().slice_length();
       info.slice_ps = info.slice.as_ps();
     }
   }
@@ -316,16 +394,16 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
   const bool charging_on = spec.charging.period > 0 && spec.charging.window > 0;
   const double charge_step_pj = spec.charging.energy_per_slice.as_pj();
 
-  // SoA hot state of one shard's replay lanes, owned per worker and reused
-  // across its shards (assign() keeps capacity): a memo-hit device advances
-  // entirely inside these arrays — no Processor, no Battery, no per-device
-  // allocation. sample_* buffer phase 1's per-slice aggregate samples so
-  // phase 2 can flush them device-major, in the exact order the scalar path
-  // feeds FleetAggregate (Summary adds are order-sensitive in the last
-  // floating-point bit).
-  struct ReplayScratch {
-    std::vector<std::vector<int>> loads;   ///< per-device trace, buffers reused
-    std::vector<int> exact_loads;          ///< non-memo path trace buffer
+  // Per-worker scratch, reused across its shards (assign() keeps capacity).
+  // The SoA arrays are the hot state of one shard's replay lanes: a memo-hit
+  // device advances entirely inside them — no Processor, no Battery, no
+  // per-device allocation. sample_* buffer phase 1's per-slice aggregate
+  // samples so phase 2 can flush them device-major, in the exact order the
+  // exact path feeds FleetAggregate (Summary adds are order-sensitive in
+  // the last floating-point bit).
+  struct WorkerScratch {
+    std::vector<int> exact_loads;          ///< exact-path trace buffer
+    std::vector<std::vector<int>> loads;   ///< per-lane trace, buffers reused
     std::vector<std::int32_t> steps;       ///< per-device stream length
     std::vector<std::int32_t> join;        ///< global slice of local step 0
     std::vector<std::uint8_t> drain;       ///< runs the trailing drain slice?
@@ -357,39 +435,33 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
   };
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
+  const bool stream = final_segment && !options_.shard_dir.empty();
 
-  auto run_shard = [&](std::size_t s, ReplayScratch& scratch) {
+  auto run_shard = [&](std::size_t s, WorkerScratch& scratch) {
     const std::size_t begin = s * shard_size;
     const std::size_t end = std::min(n, begin + shard_size);
+    const std::size_t count = end - begin;
     FleetAggregate agg{spec.histograms};
-    std::vector<DeviceResult> local;
-    const bool stream = !options_.shard_dir.empty();
-    if (stream && !options_.keep_results) local.reserve(end - begin);
+    // The shard file's bytes, formatted as devices finish (in id order).
+    std::ostringstream lines;
 
     // The shard's current lease: held across consecutive devices of the
-    // same (firmware, model) pair, returned on a pair switch or at shard
-    // end. A device that throws abandons the lease (the processor may be
-    // mid-run).
-    std::unique_ptr<sys::Processor> held;
-    std::size_t held_model = 0;
+    // same reuse key, swapped on a key change, returned at shard end.
+    sys::ProcessorPool::Lease held;
 
-    auto emit = [&](std::size_t i, DeviceResult&& r) {
-      if (options_.keep_results) {
-        result.devices[i] = std::move(r);
-      } else if (stream) {
-        local.push_back(std::move(r));
-      }
+    auto emit = [&](std::size_t i, DeviceResult r) {
+      if (stream) write_device_line(lines, r, final_out->model_names);
+      if (options_.keep_results) final_out->devices[i] = std::move(r);
     };
 
     if (memo != nullptr) {
-      const std::size_t count = end - begin;
       const auto total_slices = static_cast<std::size_t>(spec.slices) + 1;
 
       if (scratch.loads.size() < count) scratch.loads.resize(count);
       scratch.steps.resize(count);
       scratch.join.resize(count);
       scratch.drain.resize(count);
-      scratch.replay.assign(count, 1);
+      scratch.replay.resize(count);
       scratch.charge_pj.assign(count, initial_charge_pj);
       scratch.mode.assign(count, k_dynamic);
       scratch.switches.assign(count, 0);
@@ -408,9 +480,12 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
       scratch.sample_busy_ps.resize(count * total_slices);
       scratch.sample_energy_pj.resize(count * total_slices);
       for (std::size_t i = 0; i < count; ++i) {
+        // Devices an earlier segment started never enter a lane.
+        scratch.replay[i] = fresh(begin + i) ? 1 : 0;
+        if (scratch.replay[i] == 0) continue;
         const DeviceSpec& ds = device_specs[begin + i];
         device_loads_into(ds, env, scratch.loads[i]);
-        scratch.state[i] = model_info[pair_of(ds)].init_state;
+        scratch.state[i] = memo_info[pair_of(ds)].init_state;
         // Lifecycle window (mirrors Device::has_drain/total_steps): a
         // horizon device runs its arrivals plus the drain slice; an early
         // leaver runs arrivals only and drops its final buffer.
@@ -422,11 +497,11 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
       }
 
       // Phase 1 — slice-major lane advance. Each lane mirrors exactly what
-      // Device::run does around run_slice: hysteresis on the pre-drain SoC,
-      // then the battery clamp on the outcome's *requested* energy. A cold
-      // key or a clamped drain (exhaustion boundary) parks the lane for the
-      // exact path — its partial lane state is discarded wholesale, so
-      // nothing double-counts.
+      // Device::run_steps does around run_slice: hysteresis on the
+      // pre-drain SoC, then the battery clamp on the outcome's *requested*
+      // energy. A cold key or a clamped drain (exhaustion boundary) parks
+      // the lane for the exact path — its partial lane state is discarded
+      // wholesale, so nothing double-counts.
       for (std::size_t k = 0; k < total_slices; ++k) {
         for (std::size_t i = 0; i < count; ++i) {
           if (scratch.replay[i] == 0) continue;
@@ -467,8 +542,8 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
             scratch.tier[i] = slice_tier;
           }
           const SliceOutcome* out = memo->lookup(
-              SliceOutcomeKey{model_info[pair_of(ds)].reuse_key,
-                              scratch.state[i], ds.latency_slo_ps,
+              SliceOutcomeKey{reuse_keys[pair_of(ds)], scratch.state[i],
+                              ds.latency_slo_ps,
                               static_cast<std::uint32_t>(scratch.buffered[i]),
                               scratch.mode[i], slice_tier});
           if (out == nullptr) {
@@ -498,145 +573,172 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
               k < scratch.loads[i].size() ? scratch.loads[i][k] : 0;
         }
       }
-
-      // Phase 2 — device-major flush, in device order: replayed lanes
-      // materialize their DeviceResult and feed the aggregate exactly as
-      // the scalar path would have; parked lanes run the full Device path
-      // at their ordinal position, recording their outcomes for everyone
-      // after them.
-      std::uint64_t shard_replayed = 0;
-      std::uint64_t shard_exact = 0;
       scratch.pending.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        const DeviceSpec& ds = device_specs[begin + i];
-        DeviceResult r;
-        if (scratch.replay[i] != 0) {
-          const ModelMemoInfo& info = model_info[pair_of(ds)];
-          const auto dev_steps = static_cast<std::size_t>(scratch.steps[i]);
-          r.id = ds.id;
-          r.model_index = static_cast<std::uint32_t>(ds.model_index);
-          r.scenario = ds.scenario;
-          r.seed = ds.seed;
-          r.slice_ps = info.slice_ps;
-          r.slices_total = scratch.steps[i];
-          r.slices_executed = scratch.steps[i];
-          r.tasks = scratch.tasks[i];
-          // Replayed devices never exhaust; an early leaver still drops its
-          // final buffer (no drain slice runs it).
-          r.tasks_dropped = scratch.drain[i] != 0
-                                ? 0
-                                : static_cast<std::uint64_t>(scratch.buffered[i]);
-          r.deadline_violations = scratch.deadline_violations[i];
-          r.energy_pj = scratch.energy_pj[i];
-          r.battery_capacity_pj = capacity_pj;
-          r.final_soc = scratch.charge_pj[i] / capacity_pj;
-          r.exhausted_at_slice = -1;
-          r.mode_switches = scratch.switches[i];
-          r.low_power_slices = scratch.low_power[i];
-          r.busy_time_ps = scratch.busy_ps[i];
-          r.max_busy_ps = scratch.max_busy_ps[i];
-          r.movement_time_ps = scratch.movement_ps[i];
-          r.host_cycles = scratch.host_cycles[i];
-          r.latency_slo_ps = ds.latency_slo_ps;
-          r.tier_switches = scratch.tier_switches[i];
-          for (std::size_t k = 0; k < dev_steps; ++k) {
-            const Time busy = Time::ps(scratch.sample_busy_ps[i * total_slices + k]);
-            agg.add_slice(
-                busy / info.slice, busy.as_us(),
-                Energy::pj(scratch.sample_energy_pj[i * total_slices + k]).as_mj());
-          }
-          agg.add_device(r);
-          ++shard_replayed;
-        } else {
-          const std::size_t pair = pair_of(ds);
-          scratch.recorder.reuse_key = model_info[pair].reuse_key;
-          scratch.recorder.recorded.clear();
-          if (reuse) {
-            if (held == nullptr) {
-              held = checkout(pair);
-              held_model = pair;
-            } else if (held_model != pair) {
-              give_back(held_model, std::move(held));
-              held = checkout(pair);
-              held_model = pair;
-            } else {
-              held->reset();
-            }
-            Device dev{spec, ds, models[ds.model_index], *held};
-            r = dev.run(&agg, scratch.loads[i], &scratch.recorder);
-          } else {
-            Device dev{spec, ds, models[ds.model_index], cache};
-            r = dev.run(&agg, scratch.loads[i], &scratch.recorder);
-          }
-          scratch.pending.insert(scratch.pending.end(),
-                                 scratch.recorder.recorded.begin(),
-                                 scratch.recorder.recorded.end());
-          ++shard_exact;
-        }
-        emit(begin + i, std::move(r));
-      }
-      if (!scratch.pending.empty()) memo->insert_batch(scratch.pending);
-      memo_replayed.fetch_add(shard_replayed, std::memory_order_relaxed);
-      memo_exact.fetch_add(shard_exact, std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const DeviceSpec& ds = device_specs[i];
-        device_loads_into(ds, env, scratch.exact_loads);
-        DeviceResult r;
-        if (reuse) {
-          const std::size_t pair = pair_of(ds);
-          if (held == nullptr) {
-            held = checkout(pair);
-            held_model = pair;
-          } else if (held_model != pair) {
-            give_back(held_model, std::move(held));
-            held = checkout(pair);
-            held_model = pair;
-          } else {
-            held->reset();
-          }
-          Device dev{spec, ds, models[ds.model_index], *held};
-          r = dev.run(&agg, scratch.exact_loads, nullptr);
-        } else {
-          Device dev{spec, ds, models[ds.model_index], cache};
-          r = dev.run(&agg, scratch.exact_loads, nullptr);
-        }
-        emit(i, std::move(r));
-      }
     }
-    if (held != nullptr) give_back(held_model, std::move(held));
+
+    // Phase 2 — the device loop, in device order. Per device, all
+    // add_slice calls in slice order followed by one add_device: the exact
+    // device-major order an uninterrupted exact run feeds the aggregate.
+    std::uint64_t shard_replayed = 0;
+    std::uint64_t shard_exact = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const DeviceSpec& ds = device_specs[i];
+      const std::size_t lane = i - begin;
+      const DeviceProgress* const prev = from != nullptr ? &from->devices[i] : nullptr;
+      if (prev != nullptr && prev->done) {
+        // Finished in an earlier segment: the final segment replays its
+        // buffered samples and emits its stored result at its ordinal
+        // position; a bounded one carries it over untouched.
+        if (final_segment) {
+          add_samples(agg, *prev);
+          agg.add_device(prev->result);
+          emit(i, prev->result);
+        }
+        continue;
+      }
+      if (!final_segment && ds.join_slice >= end_slice) continue;  // not joined yet
+      const bool resumed = !fresh(i);
+
+      if (memo != nullptr && scratch.replay[lane] != 0) {
+        // Replayed lane: materialize its DeviceResult from the lane state.
+        const PairMemoInfo& info = memo_info[pair_of(ds)];
+        const auto dev_steps = static_cast<std::size_t>(scratch.steps[lane]);
+        const auto total_slices = static_cast<std::size_t>(spec.slices) + 1;
+        DeviceResult r;
+        r.id = ds.id;
+        r.model_index = static_cast<std::uint32_t>(ds.model_index);
+        r.scenario = ds.scenario;
+        r.seed = ds.seed;
+        r.slice_ps = info.slice_ps;
+        r.slices_total = scratch.steps[lane];
+        r.slices_executed = scratch.steps[lane];
+        r.tasks = scratch.tasks[lane];
+        // Replayed devices never exhaust; an early leaver still drops its
+        // final buffer (no drain slice runs it).
+        r.tasks_dropped = scratch.drain[lane] != 0
+                              ? 0
+                              : static_cast<std::uint64_t>(scratch.buffered[lane]);
+        r.deadline_violations = scratch.deadline_violations[lane];
+        r.energy_pj = scratch.energy_pj[lane];
+        r.battery_capacity_pj = capacity_pj;
+        r.final_soc = scratch.charge_pj[lane] / capacity_pj;
+        r.exhausted_at_slice = -1;
+        r.mode_switches = scratch.switches[lane];
+        r.low_power_slices = scratch.low_power[lane];
+        r.busy_time_ps = scratch.busy_ps[lane];
+        r.max_busy_ps = scratch.max_busy_ps[lane];
+        r.movement_time_ps = scratch.movement_ps[lane];
+        r.host_cycles = scratch.host_cycles[lane];
+        r.latency_slo_ps = ds.latency_slo_ps;
+        r.tier_switches = scratch.tier_switches[lane];
+        for (std::size_t k = 0; k < dev_steps; ++k) {
+          const Time busy = Time::ps(scratch.sample_busy_ps[lane * total_slices + k]);
+          agg.add_slice(
+              busy / info.slice, busy.as_us(),
+              Energy::pj(scratch.sample_energy_pj[lane * total_slices + k]).as_mj());
+        }
+        agg.add_device(r);
+        ++shard_replayed;
+        emit(i, std::move(r));
+        continue;
+      }
+
+      // The exact path, on a pooled (reset) or a private processor.
+      std::vector<int>* loads = &scratch.exact_loads;
+      if (memo != nullptr && !resumed) {
+        loads = &scratch.loads[lane];  // a parked lane already has its trace
+      } else {
+        device_loads_into(ds, env, scratch.exact_loads);
+      }
+      const std::size_t pair = pair_of(ds);
+      std::optional<sys::Processor> owned;
+      sys::Processor* proc = nullptr;
+      if (reuse) {
+        if (held.held() && held.key() == reuse_keys[pair]) {
+          held.get().reset();
+        } else {
+          held = pool.checkout(reuse_keys[pair], fw_cfgs[ds.firmware_index],
+                               models[ds.model_index]);
+        }
+        proc = &held.get();
+      } else {
+        proc = &owned.emplace(fw_cfgs[ds.firmware_index], models[ds.model_index]);
+      }
+      Device dev{spec, ds, models[ds.model_index], *proc};
+
+      if (!final_segment) {
+        // Bounded segment: run up to end_slice, buffering the samples for
+        // the final segment, and capture what the next segment resumes.
+        DeviceProgress& p = snap.devices[i];
+        if (resumed) {
+          dev.restore_progress(p);
+        } else {
+          dev.start_progress(p, *loads);
+        }
+        if (dev.run_steps(p, *loads, end_slice - ds.join_slice, nullptr, nullptr,
+                          /*buffer_samples=*/true)) {
+          p.proc_state.clear();  // finished devices carry no processor blob
+        } else {
+          dev.capture_progress(p);
+        }
+        continue;
+      }
+
+      // Final segment: run the rest of the stream live. A fresh device on
+      // the memo path records its outcomes for every device after it.
+      DeviceProgress p;
+      OutcomeRecorder* recorder = nullptr;
+      if (resumed) {
+        dev.restore_progress(*prev);
+        add_samples(agg, *prev);
+        p.result = prev->result;
+        p.next_k = prev->next_k;
+        p.buffered = prev->buffered;
+      } else {
+        dev.start_progress(p, *loads);
+        if (memo != nullptr) {
+          recorder = &scratch.recorder;
+          recorder->reuse_key = reuse_keys[pair];
+          recorder->recorded.clear();
+        }
+      }
+      (void)dev.run_steps(p, *loads, dev.total_steps(*loads), &agg, recorder);
+      agg.add_device(p.result);
+      if (recorder != nullptr) {
+        scratch.pending.insert(scratch.pending.end(), recorder->recorded.begin(),
+                               recorder->recorded.end());
+      }
+      ++shard_exact;
+      emit(i, std::move(p.result));
+    }
 
     if (stream) {
-      // Format into a private buffer first, then write the file in one
-      // call: the worker spends no time in the filesystem while holding
-      // work another claim could overlap with, and no handoff ever blocks
-      // a sibling worker.
-      std::ostringstream buf;
-      if (options_.keep_results) {
-        for (std::size_t i = begin; i < end; ++i) {
-          write_device_line(buf, result.devices[i], result.model_names);
-        }
-      } else {
-        for (const DeviceResult& r : local) {
-          write_device_line(buf, r, result.model_names);
-        }
-      }
+      // The shard was formatted into a private buffer; the file is written
+      // in one call, so no handoff ever blocks a sibling worker.
       const std::string path = shard_path(options_.shard_dir, s);
       std::ofstream out(path, std::ios::binary);
       if (!out) throw std::runtime_error("fleet: cannot open " + path);
-      const std::string& bytes = buf.str();
+      const std::string bytes = lines.str();
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       if (!out) throw std::runtime_error("fleet: write failed for " + path);
     }
-    shard_aggs[s].agg = std::move(agg);
+    if (memo != nullptr) {
+      if (!scratch.pending.empty()) memo->insert_batch(scratch.pending);
+      memo_replayed.fetch_add(shard_replayed, std::memory_order_relaxed);
+      memo_exact.fetch_add(shard_exact, std::memory_order_relaxed);
+    }
+    if (final_segment) shard_aggs[s].agg = std::move(agg);
   };
 
   const unsigned workers = resolve_workers(options_.threads, shards);
   const std::size_t batch =
       resolve_claim_batch(options_.claim_batch, shards, workers);
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  std::atomic<std::size_t> next{0};
 
   auto worker = [&] {
-    ReplayScratch scratch;  // per-worker; lane buffers reused across shards
+    WorkerScratch scratch;  // per-worker; buffers reused across shards
     for (;;) {
       const std::size_t base = next.fetch_add(batch, std::memory_order_relaxed);
       if (base >= shards) return;
@@ -655,393 +757,25 @@ FleetResult FleetSimulator::run(const FleetSpec& spec) const {
   if (workers <= 1) {
     worker();
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
+  if (!final_segment) return snap;
 
   // Merge in shard-index order: Summary merges are order-sensitive in the
   // last floating-point bit, so a fixed order keeps output byte-identical
   // at any thread count.
-  for (const ShardSlot& slot : shard_aggs) result.aggregate.merge(slot.agg);
-
-  if (cache != nullptr) {
-    const placement::LutCache::Stats after = cache->stats();
-    // Builds: one cache miss per new key, regardless of thread count or
-    // processor reuse (concurrent first touches dedup through the cache's
-    // build future). Shared: the devices that ran on a LUT they didn't
-    // build. Raw hit counts would vary with threads under processor reuse
-    // (each worker's pool probes the cache once per model it encounters),
-    // so the shared count is derived instead — keeping the summary JSON
-    // byte-identical at any thread count.
-    result.lut_builds = after.misses - stats_before.misses;
-    // Only HH-PIM devices resolve through the LUT cache; static archs in a
-    // mixed-firmware fleet never share a build. (Single-firmware fleets
-    // reduce to the old all-or-nothing formula.)
-    std::uint64_t hhpim_devices = 0;
-    for (const DeviceSpec& ds : device_specs) {
-      if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-        ++hhpim_devices;
-      }
-    }
-    result.lut_shared = hhpim_devices >= result.lut_builds
-                            ? hhpim_devices - result.lut_builds
-                            : 0;
-  }
+  for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
+  if (cache != nullptr) count_lut_builds(device_specs, models, firmwares, *final_out);
   if (memo != nullptr) {
     const OutcomeCache::Stats memo_after = memo->stats();
-    result.memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
-    result.memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
-    result.memo_hits = memo_after.hits - memo_before.hits;
-    result.memo_misses = memo_after.misses - memo_before.misses;
-  }
-  return result;
-}
-
-namespace {
-
-/// The LUT-cache key a Processor built from (cfg, model) resolves through —
-/// mirrors the kHhpim branch of the Processor constructor, without
-/// constructing one. Only meaningful for an HH-PIM arch.
-placement::LutCacheKey device_lut_key(const sys::SystemConfig& cfg,
-                                      const nn::Model& model) {
-  const placement::CostModel cost = placement::CostModel::build(
-      sys::resolved_power_spec(cfg), cfg.arch.hp_shape(), cfg.arch.lp_shape(),
-      model.uses_per_weight());
-  placement::LutParams lp;
-  lp.slice = sys::derived_slice_length(cfg, model);
-  lp.total_weights = model.effective_params();
-  lp.t_entries = cfg.lut_t_entries;
-  lp.k_blocks = cfg.lut_k_blocks;
-  return placement::LutCacheKey::make(model.topology_hash(),
-                                      cfg.arch.config_hash(), cost, lp);
-}
-
-}  // namespace
-
-FleetSnapshot FleetSimulator::run_to(const FleetSpec& spec, int end_slice,
-                                     const FleetSnapshot* from) const {
-  const int start = from != nullptr ? from->next_slice : 0;
-  if (end_slice <= start || end_slice > spec.slices) {
-    throw std::invalid_argument(
-        "FleetSimulator::run_to: end_slice must lie in (" +
-        std::to_string(start) + ", " + std::to_string(spec.slices) + "]");
-  }
-  return run_segment(spec, end_slice, from, nullptr);
-}
-
-FleetResult FleetSimulator::resume(const FleetSpec& spec,
-                                   const FleetSnapshot& from) const {
-  FleetResult result;
-  (void)run_segment(spec, spec.slices, &from, &result);
-  return result;
-}
-
-FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
-                                          const FleetSnapshot* from,
-                                          FleetResult* final_out) const {
-  const bool final_segment = final_out != nullptr;
-  const std::vector<DeviceSpec> device_specs = spec.expand();
-  const std::vector<nn::Model> models = spec.resolved_models();
-  const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
-  const std::size_t n_models = models.size();
-  const std::vector<double> env = spec.envelope_multipliers();
-  placement::LutCache* const cache = resolve_lut_cache();
-  const std::uint64_t digest = spec.content_digest();
-  const std::size_t n = device_specs.size();
-
-  if (from != nullptr) {
-    if (from->spec_digest != digest) {
-      throw std::runtime_error(
-          "snapshot: spec mismatch — the snapshot's content digest differs "
-          "from this FleetSpec's (models, firmware, workload, lifecycle, "
-          "battery, envelope or seed changed between segments)");
-    }
-    if (from->devices.size() != n) {
-      throw std::runtime_error("snapshot: device count mismatch");
-    }
-    if (from->next_slice > spec.slices) {
-      throw std::runtime_error("snapshot: next_slice beyond the fleet horizon");
-    }
-  }
-
-  FleetSnapshot snap;
-  snap.spec_digest = digest;
-  snap.next_slice = final_segment ? spec.slices : end_slice;
-  if (from != nullptr) {
-    snap.lut_builds = from->lut_builds;
-    snap.lut_counted = from->lut_counted;
-    snap.devices = from->devices;
-  } else {
-    snap.devices.resize(n);
-  }
-
-  // Active = will construct a processor and execute steps this segment:
-  // not yet finished, and (for a bounded segment) already joined.
-  const auto active = [&](std::size_t i) {
-    const DeviceProgress& p = snap.devices[i];
-    if (p.done) return false;
-    return final_segment || device_specs[i].join_slice < end_slice;
-  };
-
-  // LUT-build accounting, single-threaded before the pool spins up: a
-  // newly-accounted key absent from the cache counts as one build (the
-  // segment's workers will build it); rebuilds of an already-accounted key
-  // — a later segment in a fresh process with a cold cache — are never
-  // re-counted. The final summary's lut_builds therefore equals the delta
-  // one uninterrupted run() would have measured.
-  if (cache != nullptr) {
-    std::vector<char> pair_probed(firmwares.size() * n_models, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active(i)) continue;
-      const DeviceSpec& ds = device_specs[i];
-      const sys::SystemConfig& fw = firmwares[ds.firmware_index];
-      if (fw.arch.kind != sys::ArchKind::kHhpim) continue;
-      const std::size_t pair = ds.firmware_index * n_models + ds.model_index;
-      if (pair_probed[pair] != 0) continue;
-      pair_probed[pair] = 1;
-      const placement::LutCacheKey key =
-          device_lut_key(fw, models[ds.model_index]);
-      if (std::find(snap.lut_counted.begin(), snap.lut_counted.end(), key) !=
-          snap.lut_counted.end()) {
-        continue;
-      }
-      if (!cache->contains(key)) ++snap.lut_builds;
-      snap.lut_counted.push_back(key);
-    }
-  }
-
-  const std::size_t shard_size = options_.shard_size;
-  const std::size_t shards = n == 0 ? 0 : (n + shard_size - 1) / shard_size;
-
-  if (final_segment) {
-    *final_out = FleetResult{.fleet_name = spec.name,
-                             .devices = {},
-                             .model_names = {},
-                             .aggregate = FleetAggregate{spec.histograms},
-                             .shard_count = shards,
-                             .shard_size = shard_size};
-    final_out->model_names.reserve(models.size());
-    for (const nn::Model& m : models) final_out->model_names.push_back(m.name());
-    if (options_.keep_results) final_out->devices.resize(n);
-  }
-
-  struct alignas(kCacheLine) ShardSlot {
-    FleetAggregate agg;
-  };
-  std::vector<ShardSlot> shard_aggs(final_segment ? shards : 0,
-                                    ShardSlot{FleetAggregate{spec.histograms}});
-
-  // Processor checkout pool, identical in shape to run()'s.
-  struct alignas(kCacheLine) ModelPool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<sys::Processor>> idle;
-  };
-  const bool reuse = options_.reuse_processors;
-  const std::size_t n_pairs = firmwares.size() * n_models;
-  std::vector<ModelPool> model_pools(reuse ? n_pairs : 0);
-  std::vector<sys::SystemConfig> fw_cfgs;
-  fw_cfgs.reserve(firmwares.size());
-  for (const sys::SystemConfig& fw : firmwares) {
-    sys::SystemConfig c = fw;
-    c.lut_cache = cache;
-    fw_cfgs.push_back(c);
-  }
-  auto checkout = [&](std::size_t pair) {
-    ModelPool& mp = model_pools[pair];
-    std::unique_ptr<sys::Processor> p;
-    {
-      const std::lock_guard<std::mutex> lock{mp.mu};
-      if (!mp.idle.empty()) {
-        p = std::move(mp.idle.back());
-        mp.idle.pop_back();
-      }
-    }
-    if (p != nullptr) {
-      p->reset();
-      return p;
-    }
-    return std::make_unique<sys::Processor>(fw_cfgs[pair / n_models],
-                                            models[pair % n_models]);
-  };
-  auto give_back = [&](std::size_t pair, std::unique_ptr<sys::Processor> p) {
-    ModelPool& mp = model_pools[pair];
-    const std::lock_guard<std::mutex> lock{mp.mu};
-    mp.idle.push_back(std::move(p));
-  };
-
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-
-  auto run_shard = [&](std::size_t s, std::vector<int>& loads_buf) {
-    const std::size_t begin = s * shard_size;
-    const std::size_t end = std::min(n, begin + shard_size);
-    FleetAggregate agg{spec.histograms};
-    std::vector<DeviceResult> local;
-    const bool stream = final_segment && !options_.shard_dir.empty();
-    if (stream && !options_.keep_results) local.reserve(end - begin);
-
-    std::unique_ptr<sys::Processor> held;
-    std::size_t held_pair = 0;
-
-    auto emit = [&](std::size_t i, DeviceResult&& r) {
-      if (options_.keep_results) {
-        final_out->devices[i] = std::move(r);
-      } else if (stream) {
-        local.push_back(std::move(r));
-      }
-    };
-
-    // Replays the sample slices buffered by earlier segments, then (final
-    // segment) runs the rest live — per device, all add_slice calls in
-    // slice order followed by one add_device: the exact device-major
-    // order the uninterrupted run feeds the aggregate.
-    auto advance = [&](Device& dev, DeviceProgress& p, const DeviceSpec& ds) {
-      if (!p.started) {
-        dev.start_progress(p, loads_buf);
-      } else {
-        dev.restore_progress(p);
-      }
-      if (final_segment) {
-        const Time slice = Time::ps(p.result.slice_ps);
-        for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-          const Time busy = Time::ps(p.sample_busy_ps[k]);
-          agg.add_slice(busy / slice, busy.as_us(),
-                        Energy::pj(p.sample_energy_pj[k]).as_mj());
-        }
-        (void)dev.run_steps(p, loads_buf, dev.total_steps(loads_buf), &agg,
-                            nullptr);
-        agg.add_device(p.result);
-      } else {
-        const int k_end = end_slice - ds.join_slice;
-        const bool done =
-            dev.run_steps(p, loads_buf, k_end, nullptr, nullptr,
-                          /*buffer_samples=*/true);
-        if (done) {
-          p.proc_state.clear();  // finished devices carry no processor blob
-        } else {
-          dev.capture_progress(p);
-        }
-      }
-    };
-
-    for (std::size_t i = begin; i < end; ++i) {
-      DeviceProgress& p = snap.devices[i];
-      const DeviceSpec& ds = device_specs[i];
-      if (p.done) {
-        if (final_segment) {
-          // Finished in an earlier segment: replay its buffered samples at
-          // its ordinal position and emit its stored result.
-          const Time slice = Time::ps(p.result.slice_ps);
-          for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-            const Time busy = Time::ps(p.sample_busy_ps[k]);
-            agg.add_slice(busy / slice, busy.as_us(),
-                          Energy::pj(p.sample_energy_pj[k]).as_mj());
-          }
-          agg.add_device(p.result);
-          emit(i, std::move(p.result));
-        }
-        continue;
-      }
-      if (!final_segment && ds.join_slice >= end_slice) continue;
-
-      device_loads_into(ds, env, loads_buf);
-      if (reuse) {
-        const std::size_t pair =
-            ds.firmware_index * n_models + ds.model_index;
-        if (held == nullptr) {
-          held = checkout(pair);
-          held_pair = pair;
-        } else if (held_pair != pair) {
-          give_back(held_pair, std::move(held));
-          held = checkout(pair);
-          held_pair = pair;
-        } else {
-          held->reset();
-        }
-        Device dev{spec, ds, models[ds.model_index], *held};
-        advance(dev, p, ds);
-      } else {
-        Device dev{spec, ds, models[ds.model_index], cache};
-        advance(dev, p, ds);
-      }
-      if (final_segment) emit(i, std::move(p.result));
-    }
-    if (held != nullptr) give_back(held_pair, std::move(held));
-
-    if (stream) {
-      std::ostringstream buf;
-      if (options_.keep_results) {
-        for (std::size_t i = begin; i < end; ++i) {
-          write_device_line(buf, final_out->devices[i], final_out->model_names);
-        }
-      } else {
-        for (const DeviceResult& r : local) {
-          write_device_line(buf, r, final_out->model_names);
-        }
-      }
-      const std::string path = shard_path(options_.shard_dir, s);
-      std::ofstream out(path, std::ios::binary);
-      if (!out) throw std::runtime_error("fleet: cannot open " + path);
-      const std::string& bytes = buf.str();
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!out) throw std::runtime_error("fleet: write failed for " + path);
-    }
-    if (final_segment) shard_aggs[s].agg = std::move(agg);
-  };
-
-  const unsigned workers = resolve_workers(options_.threads, shards);
-  const std::size_t batch =
-      resolve_claim_batch(options_.claim_batch, shards, workers);
-
-  auto worker = [&] {
-    std::vector<int> loads_buf;  // per-worker trace buffer, reused
-    for (;;) {
-      const std::size_t base = next.fetch_add(batch, std::memory_order_relaxed);
-      if (base >= shards) return;
-      const std::size_t limit = std::min(shards, base + batch);
-      for (std::size_t s = base; s < limit; ++s) {
-        try {
-          run_shard(s, loads_buf);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  if (final_segment) {
-    for (const ShardSlot& slot : shard_aggs) {
-      final_out->aggregate.merge(slot.agg);
-    }
-    if (cache != nullptr) {
-      final_out->lut_builds = snap.lut_builds;
-      std::uint64_t hhpim_devices = 0;
-      for (const DeviceSpec& ds : device_specs) {
-        if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-          ++hhpim_devices;
-        }
-      }
-      final_out->lut_shared = hhpim_devices >= snap.lut_builds
-                                  ? hhpim_devices - snap.lut_builds
-                                  : 0;
-    }
-    // memo_* stats stay 0: segments run the exact path (to which the memo
-    // path is byte-identical), so nothing is looked up or recorded.
+    final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
+    final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
+    final_out->memo_hits = memo_after.hits - memo_before.hits;
+    final_out->memo_misses = memo_after.misses - memo_before.misses;
   }
   return snap;
 }

@@ -1,26 +1,35 @@
 // The streaming fleet simulator: N independent devices sharded across a
 // fixed worker pool.
 //
-// Execution model (mirrors exp::Runner, at shard granularity):
+// Execution model (mirrors exp::Runner, at shard granularity). There is one
+// engine: run() is the final segment from slice 0 with no snapshot, and
+// run_to()/resume() are its bounded and final segments from a snapshot.
 //
 //   * expand() derives DeviceSpecs single-threaded; devices are grouped
 //     into fixed-size shards (FleetOptions::shard_size). Shard boundaries
 //     depend only on the spec and options — never on the thread count.
 //   * Workers claim batches of consecutive shard indices from a shared
-//     atomic counter (FleetOptions::claim_batch), run each device of each
-//     shard (its own Processor + Battery + policy), and accumulate one
-//     FleetAggregate per shard. Shard aggregate slots are cache-line
-//     aligned so sibling workers never false-share a line, and never more
-//     workers than shards are spawned (resolve_workers).
-//   * With FleetOptions::memoize_devices (default), a shard first advances
-//     all of its devices through the device-level outcome memo
-//     (fleet::OutcomeCache): per-device hot state lives in SoA lanes —
-//     charge, mode, counters, the processor-state digest — and a memo hit
-//     advances a lane without touching a sys::Processor at all. Devices
-//     that miss (cold keys, exhaustion-boundary slices) fall back to the
-//     full Device::run path, recording their outcomes for everyone after
-//     them. Replayed aggregate/JSONL output is byte-identical to the
-//     scalar path (see docs/PERF.md "Device-level memoization").
+//     atomic counter (FleetOptions::claim_batch) and walk each shard's
+//     devices in id order, accumulating one FleetAggregate per shard. Shard
+//     aggregate slots are cache-line aligned so sibling workers never
+//     false-share a line, and never more workers than shards are spawned
+//     (resolve_workers). Processors come from one sys::ProcessorPool shared
+//     by all workers (FleetOptions::reuse_processors).
+//   * Each device takes one of four ways through the shard loop:
+//       - finished in an earlier segment: its stored samples and result
+//         are replayed into the aggregate;
+//       - started in an earlier segment: restored and run to completion on
+//         the exact Device path;
+//       - in a bounded segment (run_to): run up to the segment end on the
+//         exact path, samples buffered into the returned snapshot;
+//       - starting and finishing inside this call (all of run()'s): with
+//         FleetOptions::memoize_devices, advanced through the device
+//         outcome memo (fleet::OutcomeCache) in SoA lanes — a memo hit
+//         advances a lane without touching a sys::Processor. Devices that
+//         miss (cold keys, exhaustion-boundary slices) fall back to the
+//         exact path, recording their outcomes for everyone after them.
+//         Replayed output is byte-identical to the exact path (see
+//         docs/PERF.md "Device-level memoization").
 //   * When FleetOptions::shard_dir is set, each worker streams its shard's
 //     device lines to <dir>/shard-NNNNN.jsonl as the shard completes — a
 //     fleet of millions never holds all results in memory
@@ -28,11 +37,13 @@
 //   * After the pool joins, shard aggregates merge in shard-index order.
 //
 // Determinism: device results depend only on the DeviceSpec (loads are
-// generated from its scenario config; the only shared object is the
-// placement::LutCache, whose entries are immutable), shard contents depend
-// only on shard index, and the merge order is fixed — so JSONL shards,
-// to_jsonl() and summary_to_json() are byte-identical at any thread count.
-// tests/test_fleet.cpp pins this at 1 vs 8 threads.
+// generated from its scenario config; the only shared objects are the
+// placement::LutCache and the OutcomeCache, whose entries are immutable),
+// shard contents depend only on shard index, and the merge order is fixed —
+// so JSONL shards, to_jsonl() and summary_to_json() are byte-identical at
+// any thread count, with the memo on or off, with a cold or a warm LUT
+// cache, and one-shot or segmented. tests/test_fleet.cpp and
+// tests/test_snapshot.cpp pin this.
 #pragma once
 
 #include <cstdint>
@@ -114,22 +125,25 @@ struct FleetResult {
   FleetAggregate aggregate;
   std::size_t shard_count = 0;
   std::size_t shard_size = 0;
-  /// LUT-cache economy of this run: `builds` counts LUTs actually
-  /// constructed (cache-stats delta — exactly one per new key regardless of
-  /// thread count), `shared` the devices whose LUT came from a shared build
-  /// (devices - builds for an HH-PIM fleet with a cache; 0 otherwise).
-  /// Both are deterministic at any thread count and with processor reuse on
-  /// or off. builds ≪ devices is the fleet's whole economy.
+  /// LUT-cache economy of the fleet, a function of the spec alone (both 0
+  /// when share_luts is off): `lut_builds` is the number of distinct
+  /// LUT-cache keys over the HH-PIM (firmware, model) pairs the devices use
+  /// — what a cold cache builds — and `lut_shared` the HH-PIM devices minus
+  /// that number. Neither depends on threads, processor reuse, the memo,
+  /// segmenting, or how warm the cache is. builds ≪ devices is the fleet's
+  /// whole economy.
   std::uint64_t lut_builds = 0;
   std::uint64_t lut_shared = 0;
 
-  /// Device-memo economy of this run (zero when memoization is off). The
+  /// Device-memo economy of this call (zero when memoization is off). The
   /// replayed/exact split is deterministic at one thread; hit/miss deltas
   /// vary with worker interleaving and cache warmth — which is exactly why
   /// none of these appear in summary_to_json() (the summary must stay
-  /// byte-identical at any thread count and with the memo toggled).
+  /// byte-identical at any thread count and with the memo toggled). Devices
+  /// that finished in an earlier segment count in neither; devices resumed
+  /// from a snapshot count as exact.
   std::uint64_t memo_replayed_devices = 0;  ///< advanced wholly via the memo
-  std::uint64_t memo_exact_devices = 0;     ///< ran the full Device::run path
+  std::uint64_t memo_exact_devices = 0;     ///< ran the exact Device path
   std::uint64_t memo_hits = 0;              ///< OutcomeCache stats delta
   std::uint64_t memo_misses = 0;
 
@@ -154,28 +168,31 @@ class FleetSimulator {
  public:
   explicit FleetSimulator(FleetOptions options = {});
 
-  /// Expands and executes the fleet. Propagates the first device/shard
-  /// exception (other shards still complete).
+  /// Expands and executes the fleet: the final segment from slice 0, with
+  /// no snapshot. Propagates the first device/shard exception (other
+  /// shards still complete).
   [[nodiscard]] FleetResult run(const FleetSpec& spec) const;
 
   /// Checkpointed execution: advances the fleet through global slices
   /// [from ? from->next_slice : 0, end_slice) and returns the fleet state
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
-  /// trailing drain slices belong to the final segment (resume). Segments
-  /// run the exact Device path (to which the memo path is byte-identical),
-  /// buffering per-slice aggregate samples in the snapshot; no JSONL or
-  /// aggregates are produced until resume(). The snapshot is pinned to
+  /// trailing drain slices belong to the final segment (resume). Bounded
+  /// segments run the exact Device path (to which the memo path is
+  /// byte-identical), buffering per-slice aggregate samples in the
+  /// snapshot; no JSONL or aggregates are produced until resume(). The
+  /// snapshot is pinned to
   /// FleetSpec::content_digest() — run_to/resume throw std::runtime_error
   /// on a digest mismatch, std::invalid_argument on a bad window.
   [[nodiscard]] FleetSnapshot run_to(const FleetSpec& spec, int end_slice,
                                      const FleetSnapshot* from = nullptr) const;
 
   /// Final segment: resumes `from` and runs every device to completion
-  /// (remaining arrival slices plus the drain slices). The FleetResult —
-  /// devices, aggregate, JSONL shard files, summary JSON, lut_builds/
-  /// lut_shared — is byte-identical to run() on the same spec and options
-  /// at any thread count (memo_* stats are 0: segments bypass the outcome
-  /// memo, whose output the exact path equals by invariant).
+  /// (remaining arrival slices plus the drain slices). Devices the snapshot
+  /// has not started yet go through the outcome memo like run()'s; resumed
+  /// devices run the exact path. The FleetResult — devices, aggregate,
+  /// JSONL shard files, summary JSON, lut_builds/lut_shared — is
+  /// byte-identical to run() on the same spec and options at any thread
+  /// count. `from` is read in place, never copied.
   [[nodiscard]] FleetResult resume(const FleetSpec& spec,
                                    const FleetSnapshot& from) const;
 
@@ -199,10 +216,10 @@ class FleetSimulator {
                                                        unsigned workers);
 
  private:
-  /// Shared engine of run_to/resume: one segment over global slices
+  /// The one engine of run/run_to/resume: one segment over global slices
   /// [from ? from->next_slice : 0, end_slice), or to completion when
   /// `final_out` is non-null (end_slice ignored). Returns the end-of-
-  /// segment snapshot (meaningless for the final segment).
+  /// segment snapshot (empty for the final segment).
   FleetSnapshot run_segment(const FleetSpec& spec, int end_slice,
                             const FleetSnapshot* from,
                             FleetResult* final_out) const;

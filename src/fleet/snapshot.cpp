@@ -11,9 +11,11 @@ namespace hhpim::fleet {
 namespace {
 
 // "hhpimsnp", little-endian. Version bumps whenever the payload layout
-// changes incompatibly; a reader never guesses at a newer layout.
+// changes incompatibly; a reader never guesses at another layout. Version 2
+// dropped version 1's LUT-build counters (lut_builds and the counted-key
+// list) from the header.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // Per-device field tags. Explicit tags (rather than bare field order) keep
 // the format self-describing: a reader meeting a tag it does not know
@@ -190,17 +192,6 @@ std::string FleetSnapshot::to_bytes() const {
   ByteWriter payload;
   payload.u64(spec_digest);
   payload.u32(static_cast<std::uint32_t>(next_slice));
-  payload.u64(lut_builds);
-  payload.u64(static_cast<std::uint64_t>(lut_counted.size()));
-  for (const placement::LutCacheKey& k : lut_counted) {
-    payload.u64(k.topology_hash);
-    payload.u64(k.arch_hash);
-    payload.u64(k.cost_hash);
-    payload.i64(k.slice_ps);
-    payload.u64(k.total_weights);
-    payload.i32(k.t_entries);
-    payload.i32(k.k_blocks);
-  }
   payload.u64(static_cast<std::uint64_t>(devices.size()));
   for (const DeviceProgress& p : devices) write_device(payload, p);
 
@@ -218,11 +209,11 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     throw std::runtime_error("snapshot: bad magic (not a fleet snapshot)");
   }
   const std::uint32_t version = header.u32();
-  if (version > kVersion) {
+  if (version != kVersion) {
     throw std::runtime_error(
         "snapshot: format version " + std::to_string(version) +
-        " is newer than this build supports (" + std::to_string(kVersion) +
-        ")");
+        " is not supported; this build reads version " +
+        std::to_string(kVersion) + " only");
   }
   if (header.remaining() < 8) {
     throw std::runtime_error("snapshot: truncated stream (missing checksum)");
@@ -239,20 +230,6 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
   FleetSnapshot snap;
   snap.spec_digest = r.u64();
   snap.next_slice = static_cast<int>(r.u32());
-  snap.lut_builds = r.u64();
-  const std::uint64_t n_seen = r.u64();
-  snap.lut_counted.reserve(static_cast<std::size_t>(n_seen));
-  for (std::uint64_t i = 0; i < n_seen; ++i) {
-    placement::LutCacheKey k;
-    k.topology_hash = r.u64();
-    k.arch_hash = r.u64();
-    k.cost_hash = r.u64();
-    k.slice_ps = r.i64();
-    k.total_weights = r.u64();
-    k.t_entries = r.i32();
-    k.k_blocks = r.i32();
-    snap.lut_counted.push_back(k);
-  }
   const std::uint64_t n_devices = r.u64();
   snap.devices.reserve(static_cast<std::size_t>(n_devices));
   for (std::uint64_t i = 0; i < n_devices; ++i) {

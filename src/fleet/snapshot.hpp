@@ -11,9 +11,12 @@
 // diagnostic — a snapshot is never silently misread.
 //
 // What is NOT stored: load traces (regenerated from the spec — exact),
-// LUT-cache contents (rebuilt per process; lut_builds stats stay correct
-// via the counted-pair list below), and OutcomeCache contents (segments run
-// the exact path, which the memo path is byte-identical to by invariant).
+// LUT-cache contents (rebuilt per process; the summary's lut_builds and
+// lut_shared are a function of the spec alone, so nothing about them needs
+// carrying), and OutcomeCache contents (bounded segments run the exact
+// path; the final segment may replay not-yet-started devices through the
+// memo, whose output the exact path equals by invariant, so a cold memo in
+// a fresh process changes wall-clock only).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "fleet/device.hpp"
-#include "placement/lut_cache.hpp"
 
 namespace hhpim::fleet {
 
@@ -33,14 +35,6 @@ struct FleetSnapshot {
   /// First global slice the next segment executes (== the `end_slice` the
   /// producing run_to was given).
   int next_slice = 0;
-  /// LUT builds counted so far across segments, and the LUT-cache keys
-  /// already accounted — so a (firmware, model) pair first active in a
-  /// later segment, or a rebuild after a process restart, is never
-  /// double-counted into the summary's lut_builds (which counts *logical*
-  /// builds of the whole segmented run, matching what one uninterrupted
-  /// run would have measured).
-  std::uint64_t lut_builds = 0;
-  std::vector<placement::LutCacheKey> lut_counted;
   /// One entry per device, in id order (devices not yet joined included,
   /// with started == false).
   std::vector<DeviceProgress> devices;
@@ -50,7 +44,7 @@ struct FleetSnapshot {
   [[nodiscard]] std::string to_bytes() const;
 
   /// Parses to_bytes() output. Throws std::runtime_error on a bad magic, a
-  /// version newer than this build supports, a checksum mismatch, a
+  /// format version other than this build's, a checksum mismatch, a
   /// truncated stream, or an unknown field tag.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 

@@ -131,10 +131,11 @@ void FleetSpec::validate() const {
   }
   for (const sys::SystemConfig& fw : resolved_firmware()) {
     if (fw.lut_cache != nullptr) {
-      // The cache is an execution concern: FleetOptions names it (and the
-      // simulator's lut_builds/lut_shared stats are measured on it). A cache
-      // smuggled in through the SystemConfig would bypass share_luts and
-      // silently skew those stats.
+      // The cache is an execution concern: FleetOptions names it, and
+      // share_luts decides whether devices use one at all. A cache smuggled
+      // in through the SystemConfig would bypass share_luts, so the
+      // summary's lut_builds/lut_shared (derived from the spec under
+      // share_luts) would describe builds that never happened.
       throw std::invalid_argument(
           "FleetSpec: set the LUT cache via FleetOptions::lut_cache, "
           "not SystemConfig::lut_cache");

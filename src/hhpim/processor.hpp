@@ -327,7 +327,8 @@ class Processor {
 /// Digest of every (config, model) field that determines a Processor's
 /// behavior — equal keys mean a reset() Processor built from one pair is
 /// bit-exchangeable for a fresh Processor built from the other. Used by the
-/// experiment runner's shared processor checkout pool (exp::ProcessorPool).
+/// shared processor checkout pool (sys::ProcessorPool) of the experiment
+/// runner and the fleet simulator.
 [[nodiscard]] std::uint64_t processor_reuse_key(const SystemConfig& config,
                                                 const nn::Model& model);
 

@@ -267,8 +267,13 @@ TEST(FleetFastPath, ByteIdenticalScalarVsBatchedAndAcrossThreads) {
   scalar_opts.shard_size = 4;
   scalar_opts.lut_cache = &c_scalar;
   scalar_opts.reuse_processors = false;
-  fleet::FleetOptions fast1{.threads = 1, .shard_size = 4, .lut_cache = &c1};
-  fleet::FleetOptions fast8{.threads = 8, .shard_size = 4, .lut_cache = &c8};
+  fleet::FleetOptions fast1;
+  fast1.threads = 1;
+  fast1.shard_size = 4;
+  fast1.lut_cache = &c1;
+  fleet::FleetOptions fast8 = fast1;
+  fast8.threads = 8;
+  fast8.lut_cache = &c8;
 
   const fleet::FleetResult scalar = fleet::FleetSimulator{scalar_opts}.run(scalar_spec);
   const fleet::FleetResult r1 = fleet::FleetSimulator{fast1}.run(spec);

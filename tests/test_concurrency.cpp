@@ -289,11 +289,11 @@ TEST(ProcessorPool, ConcurrentCheckoutsAreDistinctAndRecycled) {
   placement::LutCache cache;
   cfg.lut_cache = &cache;
 
-  exp::ProcessorPool pool;
+  sys::ProcessorPool pool;
   constexpr int kLeases = 4;
   {
     // Held simultaneously -> distinct processors, nothing idle.
-    std::vector<exp::ProcessorPool::Lease> leases;
+    std::vector<sys::ProcessorPool::Lease> leases;
     leases.reserve(kLeases);
     for (int i = 0; i < kLeases; ++i) leases.push_back(pool.checkout(cfg, model));
     for (int a = 0; a < kLeases; ++a) {

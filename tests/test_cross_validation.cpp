@@ -1,5 +1,5 @@
 // Cross-validation: the analytic cost model (what the optimizer reasons
-// with) against the discrete-event simulator (what the hardware model
+// with) against the processor simulator (what the hardware model
 // measures), swept over models, architectures and randomized allocations.
 // This is the load-bearing consistency check of the whole reproduction: if
 // these two views drift apart, the optimizer's decisions stop meaning

@@ -2,18 +2,14 @@
 //
 // Every future performance refactor (sharding, batching, faster hot paths)
 // must preserve one property: the same scenario with the same seed produces
-// bit-identical results. These tests pin that down at three levels — the
-// workload generator, the discrete-event engine with seeded randomness, and
-// a full Processor::run_scenario pass.
+// bit-identical results. These tests pin that down at two levels — the
+// workload generator and a full Processor::run_scenario pass.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "common/rng.hpp"
 #include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
-#include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "workload/scenario.hpp"
 
 namespace hhpim {
@@ -31,78 +27,6 @@ TEST(WorkloadDeterminism, SameSeedSameLoads) {
   cfg.seed = 0xfeedbeef + 1;
   const auto c = workload::generate(Scenario::kRandom, cfg);
   EXPECT_NE(a, c);
-}
-
-// Seeded event cascade on sim::Engine: tasks of slice k arrive at k * slice,
-// each completing after an Rng-drawn service time; a completion may spawn a
-// follow-up event. Returns the stats a perf refactor must not perturb.
-struct EngineRunResult {
-  sim::Summary latency;
-  sim::Histogram occupancy{0.0, 16.0, 16};
-  std::uint64_t executed = 0;
-  std::int64_t final_ps = 0;
-};
-
-EngineRunResult run_engine_cascade(std::uint64_t seed) {
-  EngineRunResult r;
-  sim::Engine engine;
-  Rng rng{seed};
-  workload::ScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.slices = 20;
-  const auto loads = workload::generate(Scenario::kRandom, cfg);
-
-  const Time slice = Time::us(50.0);
-  int in_flight = 0;
-  for (std::size_t k = 0; k < loads.size(); ++k) {
-    const Time arrival = slice * static_cast<std::int64_t>(k);
-    for (int t = 0; t < loads[k]; ++t) {
-      engine.schedule_at(arrival, [&, arrival]() {
-        ++in_flight;
-        r.occupancy.add(static_cast<double>(in_flight));
-        const Time service = Time::ns(static_cast<double>(rng.next_in(500, 5000)));
-        engine.schedule_after(service, [&, arrival]() {
-          --in_flight;
-          r.latency.add((engine.now() - arrival).as_us());
-          if (rng.next_bool(0.25)) {  // occasional follow-up work
-            engine.schedule_after(Time::ns(static_cast<double>(rng.next_in(100, 900))),
-                                  []() {});
-          }
-        });
-      });
-    }
-  }
-  engine.run();
-  r.executed = engine.executed();
-  r.final_ps = engine.now().as_ps();
-  return r;
-}
-
-void expect_bit_identical(const EngineRunResult& a, const EngineRunResult& b) {
-  EXPECT_EQ(a.executed, b.executed);
-  EXPECT_EQ(a.final_ps, b.final_ps);
-  // Summary: exact double equality, not near-equality — the guard is that
-  // event order (and thus accumulation order) is reproducible.
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.sum(), b.latency.sum());
-  EXPECT_EQ(a.latency.min(), b.latency.min());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_EQ(a.latency.variance(), b.latency.variance());
-  EXPECT_EQ(a.occupancy.total(), b.occupancy.total());
-  EXPECT_EQ(a.occupancy.bins(), b.occupancy.bins());
-}
-
-TEST(EngineDeterminism, SeededCascadeIsBitIdentical) {
-  const auto a = run_engine_cascade(0x5eed2025);
-  const auto b = run_engine_cascade(0x5eed2025);
-  ASSERT_GT(a.executed, 0u);
-  expect_bit_identical(a, b);
-}
-
-TEST(EngineDeterminism, DifferentSeedsDiverge) {
-  const auto a = run_engine_cascade(1);
-  const auto b = run_engine_cascade(2);
-  EXPECT_NE(a.latency.sum(), b.latency.sum());
 }
 
 sys::RunStats run_system_scenario(std::uint64_t seed) {

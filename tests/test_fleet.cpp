@@ -37,6 +37,18 @@ FleetSpec small_fleet(int devices = 24, int slices = 6) {
   return spec;
 }
 
+/// Options for the simulator tests below. A helper rather than designated
+/// initializers, which would leave every later field to
+/// -Wmissing-field-initializers.
+FleetOptions fleet_options(unsigned threads, std::size_t shard_size,
+                           placement::LutCache* lut_cache) {
+  FleetOptions opts;
+  opts.threads = threads;
+  opts.shard_size = shard_size;
+  opts.lut_cache = lut_cache;
+  return opts;
+}
+
 // --- battery -----------------------------------------------------------------
 
 TEST(Battery, DrainClampsAndReportsExhaustion) {
@@ -253,7 +265,7 @@ TEST(Device, NoAdaptMatchesPlainHhpimEnergy) {
 
 TEST(FleetSimulator, ZeroDeviceFleet) {
   const FleetSpec spec = small_fleet(0);
-  const FleetSimulator sim{{.threads = 4}};
+  const FleetSimulator sim{fleet_options(4, 256, nullptr)};
   const FleetResult r = sim.run(spec);
   EXPECT_EQ(r.devices.size(), 0u);
   EXPECT_EQ(r.shard_count, 0u);
@@ -265,8 +277,8 @@ TEST(FleetSimulator, ZeroDeviceFleet) {
 TEST(FleetSimulator, ByteIdenticalAcrossThreadCounts) {
   const FleetSpec spec = small_fleet(24, 5);
   placement::LutCache c1, c8;
-  const FleetSimulator s1{{.threads = 1, .shard_size = 4, .lut_cache = &c1}};
-  const FleetSimulator s8{{.threads = 8, .shard_size = 4, .lut_cache = &c8}};
+  const FleetSimulator s1{fleet_options(1, 4, &c1)};
+  const FleetSimulator s8{fleet_options(8, 4, &c8)};
   const FleetResult r1 = s1.run(spec);
   const FleetResult r8 = s8.run(spec);
   EXPECT_EQ(r1.to_jsonl(), r8.to_jsonl());
@@ -277,10 +289,28 @@ TEST(FleetSimulator, ByteIdenticalAcrossThreadCounts) {
 TEST(FleetSimulator, DevicesShareLutBuilds) {
   const FleetSpec spec = small_fleet(24, 4);  // one model -> one LUT key
   placement::LutCache cache;
-  const FleetSimulator sim{{.threads = 2, .shard_size = 6, .lut_cache = &cache}};
+  const FleetSimulator sim{fleet_options(2, 6, &cache)};
   const FleetResult r = sim.run(spec);
   EXPECT_EQ(r.lut_builds, 1u);
   EXPECT_EQ(r.lut_shared, 23u);
+}
+
+TEST(FleetSimulator, SummaryIgnoresLutCacheWarmth) {
+  // lut_builds/lut_shared are a function of the spec, not of what the cache
+  // already holds: a cache pre-warmed by an earlier run must not turn the
+  // summary's 1/23 into 0/24.
+  const FleetSpec spec = small_fleet(24, 4);
+  placement::LutCache cold, warm;
+  (void)FleetSimulator{fleet_options(1, 6, &warm)}.run(spec);
+  const FleetResult a = FleetSimulator{fleet_options(1, 6, &cold)}.run(spec);
+  const FleetResult b = FleetSimulator{fleet_options(8, 6, &warm)}.run(spec);
+  EXPECT_EQ(a.summary_to_json(), b.summary_to_json());
+  EXPECT_EQ(b.lut_builds, 1u);
+  EXPECT_EQ(b.lut_shared, 23u);
+
+  FleetOptions no_memo = fleet_options(1, 6, &warm);
+  no_memo.memoize_devices = false;
+  EXPECT_EQ(FleetSimulator{no_memo}.run(spec).summary_to_json(), a.summary_to_json());
 }
 
 TEST(FleetSimulator, ShardFilesMatchInMemoryJsonl) {
@@ -297,7 +327,7 @@ TEST(FleetSimulator, ShardFilesMatchInMemoryJsonl) {
   EXPECT_EQ(r.shard_count, 3u);
   std::string concatenated;
   for (std::size_t s = 0; s < r.shard_count; ++s) {
-    char name[32];
+    char name[48];
     std::snprintf(name, sizeof name, "shard-%05zu.jsonl", s);
     std::ifstream in(dir + "/" + name);
     ASSERT_TRUE(in.good()) << name;
@@ -447,9 +477,9 @@ TEST(FleetSimulator, SloByteIdenticalAcrossThreadsAndMemo) {
   placement::LutCache c1, c8, cm1, cm8;
   OutcomeCache m1, m8;
   const FleetResult r1 =
-      FleetSimulator{{.threads = 1, .shard_size = 4, .lut_cache = &c1}}.run(spec);
+      FleetSimulator{fleet_options(1, 4, &c1)}.run(spec);
   const FleetResult r8 =
-      FleetSimulator{{.threads = 8, .shard_size = 4, .lut_cache = &c8}}.run(spec);
+      FleetSimulator{fleet_options(8, 4, &c8)}.run(spec);
   FleetOptions memo1;
   memo1.threads = 1;
   memo1.shard_size = 4;
@@ -473,10 +503,10 @@ TEST(FleetSimulator, SloByteIdenticalAcrossThreadsAndMemo) {
 
 TEST(FleetSimulator, SloFieldsAppearOnlyWhenSet) {
   placement::LutCache plain_cache, slo_cache;
-  const FleetResult plain = FleetSimulator{{.threads = 1, .lut_cache = &plain_cache}}
+  const FleetResult plain = FleetSimulator{fleet_options(1, 256, &plain_cache)}
                                 .run(small_fleet(6, 4));
   const FleetResult slo =
-      FleetSimulator{{.threads = 1, .lut_cache = &slo_cache}}.run(slo_fleet(6, 4));
+      FleetSimulator{fleet_options(1, 256, &slo_cache)}.run(slo_fleet(6, 4));
   // No-SLO JSONL carries no SLO fields at all — the schema (and the bytes)
   // are exactly the pre-SLO ones.
   EXPECT_EQ(plain.to_jsonl().find("latency_slo_ps"), std::string::npos);
@@ -489,9 +519,9 @@ TEST(FleetSimulator, SloSnapshotRoundTripsByteIdentically) {
   const FleetSpec spec = slo_fleet(12, 8);
   placement::LutCache whole_cache, seg_cache;
   const FleetResult whole =
-      FleetSimulator{{.threads = 1, .shard_size = 5, .lut_cache = &whole_cache}}
+      FleetSimulator{fleet_options(1, 5, &whole_cache)}
           .run(spec);
-  const FleetSimulator seg{{.threads = 1, .shard_size = 5, .lut_cache = &seg_cache}};
+  const FleetSimulator seg{fleet_options(1, 5, &seg_cache)};
   FleetSnapshot snap = seg.run_to(spec, 3);
   // Round-trip through the binary format: the kTagSlo lane must survive.
   snap = FleetSnapshot::from_bytes(snap.to_bytes());
@@ -535,7 +565,7 @@ TEST(OutcomeCacheSlo, DifferentSlosNeverShareAMemoBucket) {
 TEST(FleetSimulator, AggregateCountsAreConsistent) {
   const FleetSpec spec = small_fleet(16, 5);
   placement::LutCache cache;
-  const FleetSimulator sim{{.threads = 1, .shard_size = 5, .lut_cache = &cache}};
+  const FleetSimulator sim{fleet_options(1, 5, &cache)};
   const FleetResult r = sim.run(spec);
   ASSERT_EQ(r.devices.size(), 16u);
   std::uint64_t tasks = 0, executed = 0;

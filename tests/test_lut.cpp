@@ -66,7 +66,9 @@ TEST_F(LutTest, FeasibilityIsMonotoneInTc) {
   bool seen_feasible = false;
   for (const auto& e : lut.entries()) {
     if (e.feasible) seen_feasible = true;
-    if (seen_feasible) EXPECT_TRUE(e.feasible);
+    if (seen_feasible) {
+      EXPECT_TRUE(e.feasible);
+    }
   }
   EXPECT_TRUE(seen_feasible);
 }

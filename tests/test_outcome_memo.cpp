@@ -146,8 +146,7 @@ TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
   spec.battery.capacity = Energy::mj(5000.0);
   // One LUT cache for every run: outcome keys embed the lut_cache pointer
   // (sys::processor_reuse_key), so a per-run cache would cold-start the
-  // memo each time. Warm it first so lut_builds (part of the summary) is 0
-  // in all compared runs.
+  // memo each time. Warm it first so no compared run pays a LUT build.
   placement::LutCache luts;
   (void)run_with(spec, 1, &luts, nullptr);
   const FleetResult ref = run_with(spec, 1, &luts, nullptr);

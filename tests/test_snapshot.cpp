@@ -4,8 +4,9 @@
 // segments) produces byte-identical JSONL and summary JSON to the
 // uninterrupted run, at any thread count, with device memoization on or off,
 // across lifecycle events, charging windows, firmware mixes and load
-// envelopes. Plus: the format's loud-failure guarantees (truncated,
-// corrupted, future-version, wrong-spec blobs all throw with a diagnostic),
+// envelopes, and on cold or warm caches. Plus: the format's loud-failure
+// guarantees (truncated, corrupted, other-version, wrong-spec blobs all
+// throw with a diagnostic),
 // lifecycle/envelope/charging semantics, and a ~200-spec seeded fuzz sweep
 // that dumps the offending seed + spec on any divergence.
 #include <gtest/gtest.h>
@@ -56,12 +57,16 @@ FleetOptions base_options(unsigned threads, bool memo, placement::LutCache* lut,
   return opt;
 }
 
-/// One uninterrupted run on fresh caches (fresh so lut_builds in the summary
-/// is comparable between runs — a shared warm cache would zero the delta).
-RunOutput run_whole(const FleetSpec& spec, unsigned threads, bool memo) {
-  placement::LutCache lut;
-  OutcomeCache outcome;
-  const FleetSimulator sim{base_options(threads, memo, &lut, &outcome)};
+/// One uninterrupted run, on fresh caches unless the caller passes warm
+/// ones (the output must not tell the difference).
+RunOutput run_whole(const FleetSpec& spec, unsigned threads, bool memo,
+                    placement::LutCache* lut = nullptr,
+                    OutcomeCache* outcome = nullptr) {
+  placement::LutCache fresh_lut;
+  OutcomeCache fresh_outcome;
+  const FleetSimulator sim{
+      base_options(threads, memo, lut != nullptr ? lut : &fresh_lut,
+                   outcome != nullptr ? outcome : &fresh_outcome)};
   const FleetResult r = sim.run(spec);
   return {r.to_jsonl(), r.summary_to_json()};
 }
@@ -69,10 +74,14 @@ RunOutput run_whole(const FleetSpec& spec, unsigned threads, bool memo) {
 /// The same run cut at the given global slice boundaries, each snapshot
 /// round-tripped through the binary format between segments.
 RunOutput run_segmented(const FleetSpec& spec, const std::vector<int>& cuts,
-                        unsigned threads, bool memo) {
-  placement::LutCache lut;
-  OutcomeCache outcome;
-  const FleetSimulator sim{base_options(threads, memo, &lut, &outcome)};
+                        unsigned threads, bool memo,
+                        placement::LutCache* lut = nullptr,
+                        OutcomeCache* outcome = nullptr) {
+  placement::LutCache fresh_lut;
+  OutcomeCache fresh_outcome;
+  const FleetSimulator sim{
+      base_options(threads, memo, lut != nullptr ? lut : &fresh_lut,
+                   outcome != nullptr ? outcome : &fresh_outcome)};
   FleetSnapshot snap;
   bool have = false;
   for (const int cut : cuts) {
@@ -128,6 +137,19 @@ TEST(Snapshot, ResumeFromInitialSnapshotMatchesRun) {
   const FleetResult r = sim.resume(spec, snap);
   EXPECT_EQ(r.to_jsonl(), whole.jsonl);
   EXPECT_EQ(r.summary_to_json(), whole.summary);
+
+  // A final segment runs the devices it starts through the memo lanes,
+  // exactly as run() does: on the memo warmed above, a battery with no
+  // exhaustion boundary replays devices instead of running them.
+  FleetSpec roomy = spec;
+  roomy.battery.capacity = Energy::mj(5000.0);
+  const FleetResult roomy_whole = sim.run(roomy);
+  const FleetResult roomy_resumed = sim.resume(roomy, initial_snapshot(roomy));
+  EXPECT_EQ(roomy_resumed.to_jsonl(), roomy_whole.to_jsonl());
+  EXPECT_EQ(roomy_resumed.summary_to_json(), roomy_whole.summary_to_json());
+  EXPECT_GT(roomy_resumed.memo_replayed_devices, 0u);
+  EXPECT_EQ(roomy_resumed.memo_replayed_devices + roomy_resumed.memo_exact_devices,
+            static_cast<std::uint64_t>(roomy.devices));
 }
 
 TEST(Snapshot, ManySegmentsMatchUninterrupted) {
@@ -199,6 +221,7 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
   constexpr std::uint64_t kFuzzSeed = 0x5eedf00d2026ULL;
   constexpr int kSpecs = 200;
   SplitMix64 rng{kFuzzSeed};
+  SplitMix64 extra{~kFuzzSeed};
   const std::vector<nn::Model> zoo = {nn::zoo::efficientnet_b0(),
                                       nn::zoo::mobilenet_v2()};
   for (int i = 0; i < kSpecs; ++i) {
@@ -257,13 +280,30 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
     const unsigned threads = rng.next() % 2 == 0 ? 1u : 8u;
     const bool memo = rng.next() % 2 == 0;
 
-    const RunOutput whole = run_whole(spec, threads, memo);
+    // Further inputs, drawn from their own stream so the specs above stay
+    // those of the original sweep: whether the segmented run inherits the
+    // whole run's warm LUT and outcome caches (the summary must not notice,
+    // lut_builds included), and a final segment from an at-slice-0
+    // snapshot on those warm caches (it must equal run()).
+    const bool warm = extra.next() % 2 == 0;
+
+    placement::LutCache lut;
+    OutcomeCache outcome;
+    const RunOutput whole = run_whole(spec, threads, memo, &lut, &outcome);
+    placement::LutCache* const seg_lut = warm ? &lut : nullptr;
+    OutcomeCache* const seg_outcome = warm ? &outcome : nullptr;
     const RunOutput seg =
-        cut == spec.slices
-            ? run_segmented(spec, {}, threads, memo)  // degenerate: no cut fits
-            : run_segmented(spec, {cut}, threads, memo);
-    if (seg.jsonl != whole.jsonl || seg.summary != whole.summary) {
-      ADD_FAILURE() << "snapshot fuzz divergence; repro spec #" << i << ": "
+        cut == spec.slices  // degenerate: no cut fits
+            ? run_segmented(spec, {}, threads, memo, seg_lut, seg_outcome)
+            : run_segmented(spec, {cut}, threads, memo, seg_lut, seg_outcome);
+    const FleetResult initial =
+        FleetSimulator{base_options(threads, memo, &lut, &outcome)}.resume(
+            spec, initial_snapshot(spec));
+    if (seg.jsonl != whole.jsonl || seg.summary != whole.summary ||
+        initial.to_jsonl() != whole.jsonl ||
+        initial.summary_to_json() != whole.summary) {
+      ADD_FAILURE() << "snapshot fuzz divergence; repro spec #" << i
+                    << " (warm=" << warm << "): "
                     << describe(spec, kFuzzSeed, cut, threads, memo);
       return;  // one dump is actionable; 199 more are noise
     }
@@ -361,6 +401,19 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
     FAIL() << "future-version blob was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  }
+
+  // An older format version is refused too, naming both versions: a
+  // version-1 payload carries LUT-build counters this build does not read.
+  std::string v1 = bytes;
+  v1[8] = 1;
+  try {
+    (void)FleetSnapshot::from_bytes(v1);
+    FAIL() << "version-1 blob was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
   }
 
   // Trailing garbage after the checksum is not silently ignored.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cli.hpp"
 #include "common/table.hpp"
 
 namespace hhpim {
@@ -65,28 +64,6 @@ TEST(Table, RuleSeparatesSections) {
     ++rules;
   }
   EXPECT_EQ(rules, 4u);
-}
-
-TEST(Cli, ParsesFlagsAndPositionals) {
-  const char* argv[] = {"prog", "--alpha=3", "--beta=7", "--flag", "pos1"};
-  const Cli cli{5, argv};
-  EXPECT_EQ(cli.get_int("alpha", 0), 3);
-  EXPECT_EQ(cli.get_int("beta", 0), 7);
-  EXPECT_TRUE(cli.get_bool("flag", false));
-  EXPECT_FALSE(cli.get_bool("missing", false));
-  EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
-  ASSERT_EQ(cli.positionals().size(), 1u);
-  EXPECT_EQ(cli.positionals()[0], "pos1");
-  EXPECT_DOUBLE_EQ(cli.get_double("alpha", 0.0), 3.0);
-}
-
-TEST(Cli, BoolSpellings) {
-  const char* argv[] = {"prog", "--a=TRUE", "--b=no", "--c=1", "--d=off"};
-  const Cli cli{5, argv};
-  EXPECT_TRUE(cli.get_bool("a", false));
-  EXPECT_FALSE(cli.get_bool("b", true));
-  EXPECT_TRUE(cli.get_bool("c", false));
-  EXPECT_FALSE(cli.get_bool("d", true));
 }
 
 }  // namespace
