@@ -50,6 +50,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -160,8 +161,10 @@ void write_result(JsonWriter& w, const char* name, int devices, unsigned threads
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"devices", "slices", "lut", "reps", "shard-size", "nocache-devices",
+                     "big-devices", "out"});
   const int devices = static_cast<int>(cli.get_int("devices", 1000));
   const int slices = static_cast<int>(cli.get_int("slices", 10));
   const int lut = static_cast<int>(cli.get_int("lut", 64));
@@ -312,4 +315,8 @@ int main(int argc, char** argv) {
   out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "bench_fleet: %s\n", e.what());
+  return 2;
 }

@@ -25,6 +25,7 @@
 //     as hot as the no-SLO memo path (`slo_memo_speedup`).
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -114,8 +115,10 @@ double run_fleet_ms(const fleet::FleetSpec& spec, int reps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"devices", "slices", "lut", "reps", "slo-frac", "resolutions",
+                     "out"});
   const int devices = static_cast<int>(cli.get_int("devices", 512));
   const int slices = static_cast<int>(cli.get_int("slices", 8));
   const int lut = static_cast<int>(cli.get_int("lut", 64));
@@ -247,4 +250,8 @@ int main(int argc, char** argv) {
   out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "bench_pareto: %s\n", e.what());
+  return 2;
 }

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -191,8 +192,9 @@ double run_fleet_ms(const fleet::FleetSpec& spec, int reps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"iters", "reps", "devices", "slices", "out"});
   const std::uint64_t iters =
       static_cast<std::uint64_t>(cli.get_int("iters", 2'000'000));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
@@ -313,4 +315,8 @@ int main(int argc, char** argv) {
   out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "bench_riscv: %s\n", e.what());
+  return 2;
 }

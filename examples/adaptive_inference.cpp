@@ -4,6 +4,7 @@
 //
 //   ./adaptive_inference [--slices=24] [--seed=7]
 #include <cstdio>
+#include <exception>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -14,8 +15,9 @@
 using namespace hhpim;
 using placement::Space;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"slices", "seed"});
   const int slices = static_cast<int>(cli.get_int("slices", 24));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
 
@@ -63,4 +65,8 @@ int main(int argc, char** argv) {
   std::printf("\ntotal: %s\n", proc.ledger().total().to_string().c_str());
   std::printf("\nper-component energy breakdown:\n%s", proc.ledger().breakdown().c_str());
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "adaptive_inference: %s\n", e.what());
+  return 2;
 }

@@ -4,6 +4,7 @@
 //
 //   ./compare_architectures [--case=1..6] [--slices=20] [--threads=N]
 #include <cstdio>
+#include <exception>
 
 #include "common/cli.hpp"
 #include "common/strings.hpp"
@@ -16,8 +17,9 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"case", "slices", "threads"});
   const int case_idx = static_cast<int>(cli.get_int("case", 5));
   const auto scenario = workload::all_scenarios()[static_cast<std::size_t>(
       std::max(1, std::min(6, case_idx)) - 1)];
@@ -66,4 +68,8 @@ int main(int argc, char** argv) {
                 Time::ps(hh.slice_ps).to_string().c_str(), t.render().c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "compare_architectures: %s\n", e.what());
+  return 2;
 }

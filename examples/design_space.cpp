@@ -6,6 +6,7 @@
 //
 //   ./design_space [--slices=12] [--threads=N] [--json=PATH]
 #include <cstdio>
+#include <exception>
 #include <fstream>
 
 #include "common/cli.hpp"
@@ -19,8 +20,9 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"slices", "threads", "json"});
   const nn::Model model = nn::zoo::efficientnet_b0();
   workload::ScenarioConfig wc;
   wc.slices = static_cast<int>(cli.get_int("slices", 12));
@@ -76,4 +78,8 @@ int main(int argc, char** argv) {
               "the paper's 0.8 V choice sits near the sweet spot (and matches fabricated\n"
               "STT-MRAM chip specs).\n");
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "design_space: %s\n", e.what());
+  return 2;
 }

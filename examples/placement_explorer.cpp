@@ -4,6 +4,7 @@
 //
 //   ./placement_explorer [--model=effnet|mobilenet|resnet] [--entries=128]
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "common/cli.hpp"
@@ -13,8 +14,9 @@
 using namespace hhpim;
 using placement::Space;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"model", "entries"});
   const std::string which = cli.get("model", "effnet");
   const nn::Model model = which == "resnet"      ? nn::zoo::resnet18()
                           : which == "mobilenet" ? nn::zoo::mobilenet_v2()
@@ -41,4 +43,8 @@ int main(int argc, char** argv) {
                 e.feasible ? e.predicted_task_energy.as_uj() : 0.0);
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "placement_explorer: %s\n", e.what());
+  return 2;
 }

@@ -4,6 +4,7 @@
 //
 //   ./quickstart [--model=effnet|mobilenet|resnet] [--slices=10]
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "common/cli.hpp"
@@ -15,8 +16,9 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"model", "slices"});
   const std::string which = cli.get("model", "effnet");
   nn::Model model = which == "resnet"      ? nn::zoo::resnet18()
                     : which == "mobilenet" ? nn::zoo::mobilenet_v2()
@@ -77,4 +79,8 @@ int main(int argc, char** argv) {
                 sys::energy_saving_percent(run.total_energy, cell.energy));
   }
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

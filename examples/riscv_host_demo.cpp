@@ -9,6 +9,7 @@
 //   --stats           print block-cache counters and MIPS
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "common/cli.hpp"
@@ -22,8 +23,9 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli{argc, argv};
+  cli.require_known({"engine", "iters", "stats"});
   const bool use_interp = cli.get("engine", "blocks") == "interp";
   const long iters = static_cast<long>(cli.get_int("iters", 200'000));
   const bool want_stats = cli.has("stats");
@@ -155,4 +157,8 @@ int main(int argc, char** argv) {
   cluster.settle(pim_time);
   std::printf("PIM energy: %s\n", ledger.total().to_string().c_str());
   return 0;
+} catch (const std::exception& e) {
+  // Bad input (an unknown flag, a malformed value) fails with its cause.
+  std::fprintf(stderr, "riscv_host_demo: %s\n", e.what());
+  return 2;
 }

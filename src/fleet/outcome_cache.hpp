@@ -23,26 +23,22 @@
 // bucket only when the simulator would compute bit-identical slices for
 // them, so memoization changes wall-clock, never output.
 //
-// Concurrency mirrors placement::LutCache (docs/PERF.md "Parallel
-// scaling"): completed outcomes live in an immutable snapshot map published
-// through an atomic pointer — a hit is one acquire load plus a hash lookup,
-// no lock. Inserts arrive in per-device batches (one copy-on-write republish
-// per recorded device, not per slice), first writer wins per key; racing
-// inserts of the same key are benign because honest writers compute
-// identical values. Superseded snapshots are retired, not freed, until the
-// cache is destroyed, so a pointer returned by lookup() stays valid for the
-// cache's lifetime — even across clear().
+// Concurrency: the memo is a SnapshotMap (common/snapshot_map.hpp, the
+// protocol is described in docs/PERF.md "Parallel scaling") — a hit is one
+// acquire load plus a hash lookup, no lock. The fleet inserts one batch per
+// shard with new keys, first writer wins per key; racing inserts of the same
+// key are benign because honest writers compute identical values. A pointer
+// returned by find() stays valid for the cache's lifetime, even across
+// clear(). Hit and miss counts belong to the run that looks up
+// (FleetResult::memo_hits/memo_misses), not to the cache.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/snapshot_map.hpp"
 
 namespace hhpim::fleet {
 
@@ -96,7 +92,8 @@ struct SliceOutcome {
 /// Per-device recording sink for the exact path: Device::run chains
 /// state digests across its slices and appends one (key, outcome) pair per
 /// slice. The buffer is reused across devices (clear(), capacity retained);
-/// the shard inserts it as one batch when the device completes.
+/// the shard appends it to its pending batch when the device completes and
+/// inserts that batch once, at shard end.
 struct OutcomeRecorder {
   std::uint64_t reuse_key = 0;
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> recorded;
@@ -104,64 +101,14 @@ struct OutcomeRecorder {
 
 /// Thread-safe memo of slice outcomes. One instance is process-wide
 /// (process_cache()); tests and benchmarks construct private instances.
-class OutcomeCache {
+class OutcomeCache
+    : public SnapshotMap<SliceOutcomeKey, SliceOutcome, SliceOutcomeKey::Hash> {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;        ///< lookup() calls that returned an outcome
-    std::uint64_t misses = 0;      ///< lookup() calls that returned nullptr
-    std::uint64_t insertions = 0;  ///< keys actually added (first writer only)
-    std::size_t entries = 0;       ///< keys in the current snapshot
-  };
-
-  OutcomeCache() = default;
-  OutcomeCache(const OutcomeCache&) = delete;
-  OutcomeCache& operator=(const OutcomeCache&) = delete;
-  ~OutcomeCache() = default;
-
-  /// Lock-free: the outcome memoized for `key`, or nullptr. The pointer
-  /// stays valid until the cache is destroyed (snapshots are retired, never
-  /// freed — memory stays proportional to insert batches actually
-  /// published, which state convergence keeps small).
-  [[nodiscard]] const SliceOutcome* lookup(const SliceOutcomeKey& key);
-
-  /// Publishes a device's recorded (key, outcome) pairs: one copy-on-write
-  /// republish for the whole batch, first writer wins per key, no republish
-  /// when every key is already present. Safe to call concurrently with
-  /// lookups and other inserts.
-  void insert_batch(
-      const std::vector<std::pair<SliceOutcomeKey, SliceOutcome>>& entries);
-
-  /// Forgets all entries and zeroes the counters. Outcomes already handed
-  /// out by lookup() stay valid (retired snapshots are kept).
-  void clear();
-
-  [[nodiscard]] Stats stats() const;
-
   /// The process-wide instance FleetSimulator uses by default.
-  [[nodiscard]] static OutcomeCache& process_cache();
-
- private:
-  /// Immutable map of memoized outcomes. Never mutated after publication —
-  /// mutation copies it and publishes the copy.
-  using ReadyMap =
-      std::unordered_map<SliceOutcomeKey, SliceOutcome, SliceOutcomeKey::Hash>;
-
-  /// Publishes `next` as the current snapshot (mu_ held). The superseded
-  /// snapshot is retired — kept alive until destruction so concurrent
-  /// lock-free readers (and held outcome pointers) stay safe.
-  void publish_locked(std::unique_ptr<const ReadyMap> next);
-
-  /// Current snapshot; readers load-acquire and never lock. Owned by
-  /// retired_ (every snapshot ever published lives there).
-  std::atomic<const ReadyMap*> ready_{nullptr};
-  std::vector<std::unique_ptr<const ReadyMap>> retired_;
-
-  mutable std::mutex mu_;  ///< guards retired_ and snapshot swaps
-
-  // Counter increments race only with each other; relaxed is enough.
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
+  [[nodiscard]] static OutcomeCache& process_cache() {
+    static OutcomeCache cache;
+    return cache;
+  }
 };
 
 }  // namespace hhpim::fleet

@@ -273,8 +273,6 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   // bounded segment stops devices mid-stream, which a lane cannot park at,
   // so it runs the exact path throughout.
   OutcomeCache* const memo = final_segment ? resolve_outcome_cache() : nullptr;
-  const OutcomeCache::Stats memo_before =
-      memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
   const std::size_t n = device_specs.size();
   const std::uint64_t digest =
       from != nullptr || !final_segment ? spec.content_digest() : 0;
@@ -426,15 +424,19 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     std::vector<std::int64_t> sample_busy_ps;   ///< count x (slices+1)
     std::vector<double> sample_energy_pj;       ///< count x (slices+1)
     OutcomeRecorder recorder;
-    /// The shard's recorded outcomes, published in ONE insert_batch at
+    /// The shard's recorded outcomes, published in ONE insert at
     /// shard end: all of a shard's lookups happen in phase 1, before any
     /// phase-2 device records, so batching per shard has the same hit
     /// behavior as per-device inserts at a fraction of the copy-on-write
     /// churn (one snapshot copy per shard with news, not one per device).
     std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
   };
+  // The run's own memo counts, summed per shard: another run sharing the
+  // cache never shows up in them.
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
+  std::atomic<std::uint64_t> memo_hits{0};
+  std::atomic<std::uint64_t> memo_misses{0};
   const bool stream = final_segment && !options_.shard_dir.empty();
 
   auto run_shard = [&](std::size_t s, WorkerScratch& scratch) {
@@ -454,6 +456,8 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       if (options_.keep_results) final_out->devices[i] = std::move(r);
     };
 
+    std::uint64_t shard_hits = 0;
+    std::uint64_t shard_misses = 0;
     if (memo != nullptr) {
       const auto total_slices = static_cast<std::size_t>(spec.slices) + 1;
 
@@ -541,15 +545,17 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
             if (scratch.tier[i] != 255) ++scratch.tier_switches[i];
             scratch.tier[i] = slice_tier;
           }
-          const SliceOutcome* out = memo->lookup(
+          const SliceOutcome* out = memo->find(
               SliceOutcomeKey{reuse_keys[pair_of(ds)], scratch.state[i],
                               ds.latency_slo_ps,
                               static_cast<std::uint32_t>(scratch.buffered[i]),
                               scratch.mode[i], slice_tier});
           if (out == nullptr) {
+            ++shard_misses;
             scratch.replay[i] = 0;  // cold key -> exact path
             continue;
           }
+          ++shard_hits;
           const double requested = out->energy_pj;
           const double drained =
               requested < scratch.charge_pj[i] ? requested : scratch.charge_pj[i];
@@ -723,9 +729,11 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       if (!out) throw std::runtime_error("fleet: write failed for " + path);
     }
     if (memo != nullptr) {
-      if (!scratch.pending.empty()) memo->insert_batch(scratch.pending);
+      memo->insert(scratch.pending);
       memo_replayed.fetch_add(shard_replayed, std::memory_order_relaxed);
       memo_exact.fetch_add(shard_exact, std::memory_order_relaxed);
+      memo_hits.fetch_add(shard_hits, std::memory_order_relaxed);
+      memo_misses.fetch_add(shard_misses, std::memory_order_relaxed);
     }
     if (final_segment) shard_aggs[s].agg = std::move(agg);
   };
@@ -771,11 +779,10 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
   if (cache != nullptr) count_lut_builds(device_specs, models, firmwares, *final_out);
   if (memo != nullptr) {
-    const OutcomeCache::Stats memo_after = memo->stats();
     final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
     final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
-    final_out->memo_hits = memo_after.hits - memo_before.hits;
-    final_out->memo_misses = memo_after.misses - memo_before.misses;
+    final_out->memo_hits = memo_hits.load(std::memory_order_relaxed);
+    final_out->memo_misses = memo_misses.load(std::memory_order_relaxed);
   }
   return snap;
 }

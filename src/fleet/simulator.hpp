@@ -136,7 +136,7 @@ struct FleetResult {
   std::uint64_t lut_shared = 0;
 
   /// Device-memo economy of this call (zero when memoization is off). The
-  /// replayed/exact split is deterministic at one thread; hit/miss deltas
+  /// replayed/exact split is deterministic at one thread; hit/miss counts
   /// vary with worker interleaving and cache warmth — which is exactly why
   /// none of these appear in summary_to_json() (the summary must stay
   /// byte-identical at any thread count and with the memo toggled). Devices
@@ -144,7 +144,9 @@ struct FleetResult {
   /// from a snapshot count as exact.
   std::uint64_t memo_replayed_devices = 0;  ///< advanced wholly via the memo
   std::uint64_t memo_exact_devices = 0;     ///< ran the exact Device path
-  std::uint64_t memo_hits = 0;              ///< OutcomeCache stats delta
+  /// This run's own memo lookups, counted per shard: another run sharing
+  /// the OutcomeCache never shows up in them.
+  std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
 
   /// One compact JSON object per device, '\n'-separated (JSON Lines).

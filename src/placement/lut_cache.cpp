@@ -47,25 +47,15 @@ std::size_t LutCacheKey::Hash::operator()(const LutCacheKey& k) const {
   return static_cast<std::size_t>(h.digest());
 }
 
-LutCache::~LutCache() = default;
-
-void LutCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
-  ready_.store(next.get(), std::memory_order_release);
-  retired_.push_back(std::move(next));
-}
-
 std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& key,
                                                             const CostModel& model,
                                                             const LutParams& params) {
   // Fast path: the steady state — every warm key resolves here with one
   // acquire load and a lookup in an immutable map. No lock, no shared
   // writes beyond one relaxed counter.
-  if (const ReadyMap* ready = ready_.load(std::memory_order_acquire);
-      ready != nullptr) {
-    if (const auto it = ready->find(key); it != ready->end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  if (const auto* lut = ready_.find(key)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return *lut;
   }
 
   // Miss path: dedup through pending_ under the mutex, exactly as before.
@@ -77,12 +67,9 @@ std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& k
     const std::lock_guard<std::mutex> lock{mu_};
     // Re-check the snapshot: a builder may have published between our
     // lock-free probe and acquiring mu_.
-    if (const ReadyMap* ready = ready_.load(std::memory_order_relaxed);
-        ready != nullptr) {
-      if (const auto it = ready->find(key); it != ready->end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+    if (const auto* lut = ready_.find(key)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return *lut;
     }
     const auto it = pending_.find(key);
     if (it != pending_.end()) {
@@ -118,11 +105,8 @@ std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& k
       if (it != pending_.end() && it->second.gen == my_gen) {
         pending_.erase(it);
         // Copy-on-write publish: successors hit the new snapshot lock-free.
-        const ReadyMap* cur = ready_.load(std::memory_order_relaxed);
-        auto next = cur != nullptr ? std::make_unique<ReadyMap>(*cur)
-                                   : std::make_unique<ReadyMap>();
-        (*next)[key] = lut;
-        publish_locked(std::move(next));
+        const std::pair<LutCacheKey, std::shared_ptr<const AllocationLut>> entry{key, lut};
+        ready_.insert({&entry, 1});
       }
       // gen mismatch: clear() ran mid-build — waiters still get the value,
       // but the slot was dropped, so the build is not published.
@@ -143,20 +127,9 @@ std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& k
   }
 }
 
-bool LutCache::contains(const LutCacheKey& key) const {
-  if (const ReadyMap* ready = ready_.load(std::memory_order_acquire);
-      ready != nullptr && ready->contains(key)) {
-    return true;
-  }
-  const std::lock_guard<std::mutex> lock{mu_};
-  return pending_.contains(key);
-}
-
 void LutCache::clear() {
   const std::lock_guard<std::mutex> lock{mu_};
-  if (ready_.load(std::memory_order_relaxed) != nullptr) {
-    publish_locked(std::make_unique<ReadyMap>());
-  }
+  ready_.clear();
   pending_.clear();
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
@@ -165,13 +138,12 @@ void LutCache::clear() {
 
 LutCache::Stats LutCache::stats() const {
   const std::lock_guard<std::mutex> lock{mu_};
-  const ReadyMap* ready = ready_.load(std::memory_order_relaxed);
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.failed_joins = failed_joins_.load(std::memory_order_relaxed);
   s.in_flight = pending_.size();
-  s.entries = (ready != nullptr ? ready->size() : 0) + pending_.size();
+  s.entries = ready_.size() + pending_.size();
   return s;
 }
 

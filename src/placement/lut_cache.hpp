@@ -19,14 +19,10 @@
 //
 // Concurrency (see docs/PERF.md "Parallel scaling"): the cache is
 // read-mostly — a fleet of a million devices resolves to a handful of warm
-// entries — so the hit path must not serialize. Completed builds live in an
-// immutable snapshot map published through an atomic pointer: a hit is one
-// acquire load + a hash lookup, no lock, no reference-count ping-pong on a
-// shared control word. Mutation (first build of a key, clear) copies the
-// snapshot under a mutex and publishes the successor with a release store;
-// superseded snapshots are retired, not freed, until the cache dies, so a
-// reader holding yesterday's snapshot is always safe. The promise/
-// shared_future build dedup survives unchanged on the miss path: the first
+// entries — so the hit path must not serialize. Completed builds live in a
+// SnapshotMap (common/snapshot_map.hpp): a hit is one acquire load + a hash
+// lookup, no lock, no reference-count ping-pong on a shared control word.
+// On the miss path a promise/shared_future dedups builds: the first
 // requester builds outside the lock, concurrent requesters for the same key
 // block on the future instead of duplicating the build. A build failure is
 // rethrown to every waiter and the slot is removed so a later call can
@@ -44,9 +40,9 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/hash.hpp"
+#include "common/snapshot_map.hpp"
 #include "placement/lut.hpp"
 
 namespace hhpim::placement {
@@ -100,7 +96,6 @@ class LutCache {
   LutCache() = default;
   LutCache(const LutCache&) = delete;
   LutCache& operator=(const LutCache&) = delete;
-  ~LutCache();
 
   /// Returns the LUT for `key`, building it from (model, params) on first
   /// use. Warm keys are served lock-free. Blocks while another thread
@@ -111,15 +106,12 @@ class LutCache {
   [[nodiscard]] std::shared_ptr<const AllocationLut> get_or_build(
       const LutCacheKey& key, const CostModel& model, const LutParams& params);
 
-  /// True if a slot exists for `key` (built or in flight).
-  [[nodiscard]] bool contains(const LutCacheKey& key) const;
-
   /// Drops all slots and resets counters. In-flight builds complete
   /// normally for their waiters but are not published; consumers keep
-  /// their shared_ptrs alive independently. Note: the superseded snapshot
-  /// is retired, not freed — a lock-free reader may still be inside it —
-  /// so a cleared entry's LUT is released only when the cache itself is
-  /// destroyed (memory stays proportional to builds actually performed).
+  /// their shared_ptrs alive independently. Note: the SnapshotMap retires
+  /// superseded snapshots rather than freeing them, so a cleared entry's
+  /// LUT is released only when the cache itself is destroyed (memory stays
+  /// proportional to builds actually performed).
   void clear();
 
   [[nodiscard]] Stats stats() const;
@@ -128,10 +120,6 @@ class LutCache {
   [[nodiscard]] static LutCache& process_cache();
 
  private:
-  /// Immutable map of completed builds. Never mutated after publication —
-  /// mutation copies it and publishes the copy.
-  using ReadyMap = std::unordered_map<LutCacheKey, std::shared_ptr<const AllocationLut>,
-                                      LutCacheKey::Hash>;
   using Future = std::shared_future<std::shared_ptr<const AllocationLut>>;
   /// `gen` disambiguates in-flight slots under the same key across
   /// clear()/eviction: a failed builder evicts only the slot it inserted,
@@ -141,17 +129,12 @@ class LutCache {
     std::uint64_t gen = 0;
   };
 
-  /// Publishes `next` as the current snapshot (mu_ held). The superseded
-  /// snapshot is retired — kept alive until destruction so concurrent
-  /// lock-free readers can finish with it.
-  void publish_locked(std::unique_ptr<const ReadyMap> next);
+  /// Completed builds; read lock-free. Published under mu_, so a key is
+  /// never both ready and pending.
+  SnapshotMap<LutCacheKey, std::shared_ptr<const AllocationLut>, LutCacheKey::Hash>
+      ready_;
 
-  /// Current snapshot of completed builds; readers load-acquire and never
-  /// lock. Owned by retired_ (every snapshot ever published lives there).
-  std::atomic<const ReadyMap*> ready_{nullptr};
-  std::vector<std::unique_ptr<const ReadyMap>> retired_;
-
-  mutable std::mutex mu_;  ///< guards pending_, retired_, snapshot swaps
+  mutable std::mutex mu_;  ///< guards pending_ and publishing into ready_
   std::unordered_map<LutCacheKey, Slot, LutCacheKey::Hash> pending_;
   std::uint64_t next_gen_ = 0;
 

@@ -156,7 +156,6 @@ TEST(LutCacheConcurrency, FailedBuildStormNeverCountsHits) {
   EXPECT_EQ(s.misses + s.failed_joins, threw);
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.in_flight, 0u);
-  EXPECT_FALSE(cache.contains(key));
 }
 
 // Stats must reflect a build in flight, and a waiter that joins a
@@ -228,7 +227,6 @@ TEST(LutCacheConcurrency, MixedGetClearStatsStress) {
     while (!stop.load(std::memory_order_acquire)) {
       cache.clear();
       (void)cache.stats();
-      (void)cache.contains(placement::LutCacheKey{});
       std::this_thread::yield();
     }
   }};
@@ -337,11 +335,12 @@ TEST(ProcessorPool, ConcurrentCheckoutsAreDistinctAndRecycled) {
 
 // --- outcome-cache get-or-insert stress --------------------------------------
 
-// 8 threads race lookup/insert_batch over an overlapping key range — the
-// device-memo access pattern (miss -> run exact -> publish batch). Honest
-// writers compute identical values, so any hit must carry the key's
-// canonical value no matter which thread's insert won. Each worker records
-// mismatches into its own slot; asserts run after the join (TSan-clean).
+// 8 threads race find/insert over an overlapping key range — the
+// device-memo access pattern (miss -> run exact -> publish batch) on the
+// SnapshotMap template. Honest writers compute identical values, so any hit
+// must carry the key's canonical value no matter which thread's insert won,
+// and each key is added exactly once. Each worker records into its own
+// slots; asserts run after the join (TSan-clean).
 TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kKeys = 64;
@@ -349,10 +348,12 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   fleet::OutcomeCache cache;
   std::atomic<bool> start{false};
   std::vector<std::uint64_t> mismatches(kThreads, 0);
+  std::vector<std::uint64_t> hits(kThreads, 0);
+  std::vector<std::uint64_t> added(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &start, &mismatches, t] {
+    threads.emplace_back([&cache, &start, &mismatches, &hits, &added, t] {
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -362,30 +363,39 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
             (static_cast<std::uint64_t>(i) + static_cast<std::uint64_t>(t) * 7) % kKeys;
         const fleet::SliceOutcomeKey key{1, k, static_cast<std::uint32_t>(k % 3),
                                          static_cast<std::uint8_t>(k % 2)};
-        const fleet::SliceOutcome* hit = cache.lookup(key);
+        const fleet::SliceOutcome* hit = cache.find(key);
         if (hit == nullptr) {
           batch.assign(1, {key, fleet::SliceOutcome{static_cast<double>(k),
                                                     static_cast<std::int64_t>(k), 0,
                                                     k ^ 0xabcdULL, 0, false}});
-          cache.insert_batch(batch);
-        } else if (hit->post_state != (k ^ 0xabcdULL) ||
-                   hit->energy_pj != static_cast<double>(k)) {
-          ++mismatches[static_cast<std::size_t>(t)];
+          added[static_cast<std::size_t>(t)] += cache.insert(batch);
+        } else {
+          ++hits[static_cast<std::size_t>(t)];
+          if (hit->post_state != (k ^ 0xabcdULL) ||
+              hit->energy_pj != static_cast<double>(k)) {
+            ++mismatches[static_cast<std::size_t>(t)];
+          }
         }
       }
     });
   }
   start.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
-  std::uint64_t total = 0;
-  for (const std::uint64_t m : mismatches) total += m;
-  EXPECT_EQ(total, 0u);
-  const fleet::OutcomeCache::Stats s = cache.stats();
+  std::uint64_t total_mismatches = 0;
+  std::uint64_t total_hits = 0;
+  std::uint64_t total_added = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    total_mismatches += mismatches[i];
+    total_hits += hits[i];
+    total_added += added[i];
+  }
+  EXPECT_EQ(total_mismatches, 0u);
   // Every residue mod kKeys is visited, so the snapshot converges to
   // exactly the canonical key set (first writer wins, no duplicates).
-  EXPECT_EQ(s.entries, static_cast<std::size_t>(kKeys));
-  EXPECT_EQ(s.insertions, kKeys);
-  EXPECT_GT(s.hits, 0u);
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(total_added, kKeys);
+  EXPECT_GT(total_hits, 0u);
 }
 
 // --- fleet identity across threads and claim batching ------------------------

@@ -545,8 +545,8 @@ TEST(OutcomeCacheSlo, DifferentSlosNeverShareAMemoBucket) {
   base.tier = 0;
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({base, SliceOutcome{100.0, 5, 2, 99, 0, false}});
-  cache.insert_batch(batch);
-  ASSERT_NE(cache.lookup(base), nullptr);
+  cache.insert(batch);
+  ASSERT_NE(cache.find(base), nullptr);
 
   SliceOutcomeKey other_slo = base;
   other_slo.slo_ps = 2'000'000;
@@ -557,9 +557,9 @@ TEST(OutcomeCacheSlo, DifferentSlosNeverShareAMemoBucket) {
   EXPECT_NE(base, other_slo);
   EXPECT_NE(base, no_slo);
   EXPECT_NE(base, other_tier);
-  EXPECT_EQ(cache.lookup(other_slo), nullptr);
-  EXPECT_EQ(cache.lookup(no_slo), nullptr);
-  EXPECT_EQ(cache.lookup(other_tier), nullptr);
+  EXPECT_EQ(cache.find(other_slo), nullptr);
+  EXPECT_EQ(cache.find(no_slo), nullptr);
+  EXPECT_EQ(cache.find(other_tier), nullptr);
 }
 
 TEST(FleetSimulator, AggregateCountsAreConsistent) {

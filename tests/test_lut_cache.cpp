@@ -95,7 +95,6 @@ TEST(LutCache, ClearDropsSlotsButConsumersKeepTheirLut) {
   const auto a = cache.get_or_build(key, m, small_params());
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.contains(key));
   // The shared_ptr keeps the LUT alive and usable.
   EXPECT_EQ(a->entries().size(), 16u);
   // Rebuild is a fresh instance.
@@ -110,7 +109,7 @@ TEST(LutCache, FailedBuildPropagatesAndEvicts) {
   bad.total_weights = 0;  // AllocationLut::build throws
   const auto key = LutCacheKey::make(1, 2, m, bad);
   EXPECT_THROW((void)cache.get_or_build(key, m, bad), std::invalid_argument);
-  EXPECT_FALSE(cache.contains(key));
+  EXPECT_EQ(cache.stats().entries, 0u);  // the failed slot is evicted
   // A later call with good params under a fresh key still works.
   const auto good = LutCacheKey::make(1, 2, m, small_params());
   EXPECT_NE(cache.get_or_build(good, m, small_params()), nullptr);

@@ -6,8 +6,10 @@
 // exhausted devices always take the exact path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,39 +47,46 @@ FleetResult run_with(const FleetSpec& spec, unsigned threads,
 
 // --- cache semantics ---------------------------------------------------------
 
-TEST(OutcomeCache, LookupInsertStatsClear) {
+TEST(OutcomeCache, FindInsertClear) {
   OutcomeCache cache;
   const SliceOutcomeKey key{7, 42, 3, 1};
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.find(key), nullptr);  // a miss is null
 
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({key, SliceOutcome{100.0, 5, 2, 99, 0, true}});
-  cache.insert_batch(batch);
-  const SliceOutcome* hit = cache.lookup(key);
+  EXPECT_EQ(cache.insert(batch), 1u);
+  const SliceOutcome* hit = cache.find(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
   EXPECT_EQ(hit->busy_ps, 5);
   EXPECT_EQ(hit->post_state, 99u);
   EXPECT_TRUE(hit->deadline_violated);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
-  // First writer wins: a conflicting re-insert neither replaces the value
-  // nor counts as an insertion.
+  // First writer wins: a conflicting re-insert adds no key and leaves the
+  // value alone.
   batch[0].second.energy_pj = -1.0;
-  cache.insert_batch(batch);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_DOUBLE_EQ(cache.lookup(key)->energy_pj, 100.0);
-
-  // clear() forgets entries and counters, but outcomes already handed out
-  // stay valid (snapshots are retired, never freed).
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.insert(batch), 0u);
+  EXPECT_EQ(cache.find(key), hit);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
-  EXPECT_EQ(cache.lookup(key), nullptr);
+
+  // A batch with one new key republishes; the old pointer stays valid.
+  const SliceOutcomeKey other{7, 43, 3, 1};
+  batch.push_back({other, SliceOutcome{200.0, 6, 2, 98, 0, false}});
+  EXPECT_EQ(cache.insert(batch), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
+  EXPECT_DOUBLE_EQ(cache.find(other)->energy_pj, 200.0);
+
+  // clear() forgets the keys, but outcomes already handed out stay valid
+  // (snapshots are retired, never freed), also across later inserts.
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.find(key), nullptr);
+  EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
+  EXPECT_EQ(cache.insert(batch), 2u);
+  EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
+  EXPECT_DOUBLE_EQ(cache.find(key)->energy_pj, -1.0);  // a new first writer
 }
 
 TEST(OutcomeCache, KeysSeparateOnEveryField) {
@@ -85,15 +94,15 @@ TEST(OutcomeCache, KeysSeparateOnEveryField) {
   const SliceOutcomeKey key{7, 42, 3, 1};
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({key, SliceOutcome{}});
-  cache.insert_batch(batch);
+  cache.insert(batch);
 
-  ASSERT_NE(cache.lookup(key), nullptr);
+  ASSERT_NE(cache.find(key), nullptr);
   // Exact buckets: changing any field — machine, state digest, buffered
   // load, or mode — is a different key, never a fuzzy match.
-  EXPECT_EQ(cache.lookup({8, 42, 3, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 43, 3, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 4, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 3, 0}), nullptr);
+  EXPECT_EQ(cache.find({8, 42, 3, 1}), nullptr);
+  EXPECT_EQ(cache.find({7, 43, 3, 1}), nullptr);
+  EXPECT_EQ(cache.find({7, 42, 4, 1}), nullptr);
+  EXPECT_EQ(cache.find({7, 42, 3, 0}), nullptr);
 }
 
 // --- the digest the key is built on ------------------------------------------
@@ -194,6 +203,52 @@ TEST(OutcomeMemo, ExhaustedDevicesTakeExactPath) {
   EXPECT_GE(warm.memo_exact_devices, exhausted);
   EXPECT_EQ(warm.memo_replayed_devices + warm.memo_exact_devices,
             static_cast<std::uint64_t>(spec.devices));
+}
+
+// --- memo counts --------------------------------------------------------------
+
+// memo_hits/memo_misses count the run's own lookups. Two fleets on disjoint
+// models never share a key, so when they share one OutcomeCache and run at
+// the same time, each must still report exactly the counts of its solo run
+// on a fresh cache — a delta of cache-wide counters would pick up the other
+// run's lookups whenever the two overlap.
+TEST(FleetSimulator, MemoCountsAreTheRunsOwn) {
+  FleetSpec a = small_fleet(512, 24);
+  FleetSpec b = small_fleet(512, 24);
+  b.models = {nn::zoo::resnet18()};
+  placement::LutCache luts;  // one warm LUT cache: only the models differ
+  (void)run_with(a, 1, &luts, nullptr);
+  (void)run_with(b, 1, &luts, nullptr);
+
+  OutcomeCache solo_a_memo;
+  OutcomeCache solo_b_memo;
+  const FleetResult solo_a = run_with(a, 1, &luts, &solo_a_memo);
+  const FleetResult solo_b = run_with(b, 1, &luts, &solo_b_memo);
+  ASSERT_GT(solo_a.memo_hits, 0u);
+  ASSERT_GT(solo_a.memo_misses, 0u);
+  ASSERT_GT(solo_b.memo_hits, 0u);
+  ASSERT_GT(solo_b.memo_misses, 0u);
+
+  OutcomeCache shared;
+  std::atomic<int> ready{0};
+  FleetResult shared_a;
+  FleetResult shared_b;
+  auto run_after_barrier = [&](const FleetSpec& spec, FleetResult& out) {
+    ready.fetch_add(1, std::memory_order_acq_rel);
+    while (ready.load(std::memory_order_acquire) < 2) std::this_thread::yield();
+    out = run_with(spec, 1, &luts, &shared);
+  };
+  std::thread ta{[&] { run_after_barrier(a, shared_a); }};
+  std::thread tb{[&] { run_after_barrier(b, shared_b); }};
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(shared_a.memo_hits, solo_a.memo_hits);
+  EXPECT_EQ(shared_a.memo_misses, solo_a.memo_misses);
+  EXPECT_EQ(shared_b.memo_hits, solo_b.memo_hits);
+  EXPECT_EQ(shared_b.memo_misses, solo_b.memo_misses);
+  EXPECT_EQ(shared_a.to_jsonl(), solo_a.to_jsonl());
+  EXPECT_EQ(shared_b.to_jsonl(), solo_b.to_jsonl());
 }
 
 }  // namespace
