@@ -1,19 +1,28 @@
 #include "fleet/aggregate.hpp"
 
+#include "common/units.hpp"
 #include "fleet/device.hpp"
 
 namespace hhpim::fleet {
 
-FleetAggregate::FleetAggregate(const AggregateShape& shape)
-    : busy_frac_(0.0, shape.busy_frac_max, shape.busy_frac_bins),
-      energy_(0.0, shape.slice_energy_mj_max, shape.slice_energy_bins) {}
+SliceAggregate::SliceAggregate(const AggregateShape& shape)
+    : busy_frac(0.0, shape.busy_frac_max, shape.busy_frac_bins),
+      energy_mj(0.0, shape.slice_energy_mj_max, shape.slice_energy_bins) {}
 
-void FleetAggregate::add_slice(double busy_frac, double busy_time_us,
-                               double energy_mj) {
-  busy_frac_.add(busy_frac);
-  busy_us.add(busy_time_us);
-  energy_.add(energy_mj);
+void SliceAggregate::add(std::int64_t busy_time_ps, std::int64_t slice_ps,
+                         double energy_pj) {
+  busy_frac.add(Time::ps(busy_time_ps) / Time::ps(slice_ps));
+  energy_mj.add(Energy::pj(energy_pj).as_mj());
+  busy_ps.add(static_cast<std::uint64_t>(busy_time_ps));
 }
+
+void SliceAggregate::merge(const SliceAggregate& o) {
+  busy_frac.merge(o.busy_frac);
+  energy_mj.merge(o.energy_mj);
+  busy_ps.merge(o.busy_ps);
+}
+
+FleetAggregate::FleetAggregate(const AggregateShape& shape) : slices(shape) {}
 
 void FleetAggregate::add_device(const DeviceResult& r) {
   ++devices;
@@ -41,9 +50,7 @@ void FleetAggregate::merge(const FleetAggregate& o) {
   host_cycles += o.host_cycles;
   device_energy_mj.merge(o.device_energy_mj);
   final_soc.merge(o.final_soc);
-  busy_us.merge(o.busy_us);
-  busy_frac_.merge(o.busy_frac_);
-  energy_.merge(o.energy_);
+  slices.merge(o.slices);
 }
 
 }  // namespace hhpim::fleet

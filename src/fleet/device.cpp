@@ -137,9 +137,8 @@ void Device::restore_progress(const DeviceProgress& p) {
 
 bool Device::run_steps(DeviceProgress& p, const std::vector<int>& loads,
                        int k_end, FleetAggregate* agg,
-                       OutcomeRecorder* recorder, bool buffer_samples) {
+                       OutcomeRecorder* recorder) {
   DeviceResult& r = p.result;
-  const Time slice = Time::ps(r.slice_ps);
   const int steps = total_steps(loads);
   const int n_loads = static_cast<int>(loads.size());
   if (k_end > steps) k_end = steps;
@@ -221,10 +220,7 @@ bool Device::run_steps(DeviceProgress& p, const std::vector<int>& loads,
     r.host_cycles += s.host_cycles;
     if (mode == DeviceMode::kLowPower) ++r.low_power_slices;
     if (agg != nullptr) {
-      agg->add_slice(s.busy_time / slice, s.busy_time.as_us(), s.energy.as_mj());
-    } else if (buffer_samples) {
-      p.sample_busy_ps.push_back(s.busy_time.as_ps());
-      p.sample_energy_pj.push_back(requested.as_pj());
+      agg->slices.add(s.busy_time.as_ps(), r.slice_ps, requested.as_pj());
     }
 
     if (drained < requested) {

@@ -86,10 +86,9 @@ struct DeviceResult {
 /// One device's resumable mid-run state — what a FleetSnapshot stores per
 /// device. Captures everything Device::run_steps needs to continue at step
 /// `next_k` and still produce byte-identical output: the partial
-/// DeviceResult, the policy/battery state, the processor checkpoint blob
-/// (Processor::save_state), and the per-slice aggregate samples buffered
-/// until the final segment (histogram insertion order is device-major and
-/// must not interleave with other devices until the whole stream is known).
+/// DeviceResult, the policy/battery state and the processor checkpoint blob
+/// (Processor::save_state). Its size does not grow with the slices run:
+/// executed slices fold into the segment's SliceAggregate as they run.
 struct DeviceProgress {
   DeviceResult result;
   int next_k = 0;           ///< next local step (slice) to execute
@@ -100,8 +99,6 @@ struct DeviceProgress {
   std::uint8_t tier = 255;  ///< FrontierTier applied (255 = none yet; SLO only)
   int buffered = 0;         ///< arrivals awaiting execution in the next slice
   double charge_pj = 0.0;   ///< exact battery charge bits
-  std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
-  std::vector<double> sample_energy_pj;      ///< requested (pre-clamp) energy
   std::string proc_state;   ///< Processor::save_state blob (live devices only)
 };
 
@@ -123,8 +120,8 @@ class Device {
          sys::Processor& proc);
 
   /// Executes the device's whole stream (loads materialized from the spec
-  /// with the fleet's envelope applied). Per-slice samples are accumulated
-  /// into `agg` (may be null). Call once.
+  /// with the fleet's envelope applied). Each executed slice is added to
+  /// `agg` (may be null) as it runs, then the device itself. Call once.
   DeviceResult run(FleetAggregate* agg);
 
   // --- segmented execution (fleet checkpoint/restore) ----------------------
@@ -156,17 +153,17 @@ class Device {
 
   /// Executes local steps [p.next_k, min(k_end, total_steps)) and updates
   /// p. Returns true when the stream completed (drained, left early, or
-  /// exhausted). With `agg` non-null, samples post directly; with
-  /// `buffer_samples`, they append to p's sample vectors instead (segmented
-  /// runs — replayed into the aggregate by the final segment). When
+  /// exhausted). With `agg` non-null, every executed slice is added to it
+  /// as it runs (SliceAggregate::add — order-free, so the caller may
+  /// fold segments and memo lanes into the same aggregate in any order);
+  /// with null, the slices post nowhere. When
   /// `recorder` is non-null, every executed slice appends one
   /// (SliceOutcomeKey, SliceOutcome) pair chained through
   /// Processor::state_digest() — the exact-path side of the fleet's
   /// device-level memo (recorder->reuse_key must be the processor's
   /// sys::processor_reuse_key). Recording changes wall-clock only.
   bool run_steps(DeviceProgress& p, const std::vector<int>& loads, int k_end,
-                 FleetAggregate* agg, OutcomeRecorder* recorder,
-                 bool buffer_samples = false);
+                 FleetAggregate* agg, OutcomeRecorder* recorder);
 
   /// The SystemConfig a device of `fleet` runs under: the device's firmware
   /// entry with the simulator-resolved LUT cache plugged in. What both

@@ -114,6 +114,19 @@ void write_summary_stats(JsonWriter& w, const sim::Summary& s) {
   w.end_object();
 }
 
+/// The busy-time summary, kept in picoseconds and written in microseconds
+/// (Time::as_us's scale). Mean and stddev are derived here, at write time.
+void write_busy_us(JsonWriter& w, const sim::ExactSummary& s) {
+  constexpr double kUsPerPs = 1e-6;
+  w.begin_object();
+  w.field("count", s.count());
+  w.field("mean", s.mean() * kUsPerPs);
+  w.field("min", static_cast<double>(s.min()) * kUsPerPs);
+  w.field("max", static_cast<double>(s.max()) * kUsPerPs);
+  w.field("stddev", s.stddev() * kUsPerPs);
+  w.end_object();
+}
+
 void write_quantiles(JsonWriter& w, const sim::Histogram& h) {
   w.begin_object();
   w.field("p50", h.quantile(0.50));
@@ -151,7 +164,7 @@ void FleetResult::write_summary_json(std::ostream& os) const {
   w.key("final_soc");
   write_summary_stats(w, aggregate.final_soc);
   w.key("busy_us");
-  write_summary_stats(w, aggregate.busy_us);
+  write_busy_us(w, aggregate.slices.busy_ps);
   w.key("busy_frac");
   write_quantiles(w, aggregate.busy_frac_hist());
   w.key("slice_energy_mj");
@@ -218,17 +231,6 @@ void count_lut_builds(const std::vector<DeviceSpec>& devices,
   }
   out.lut_builds = keys.size();
   out.lut_shared = hhpim_devices - keys.size();
-}
-
-/// Posts a device's buffered per-slice samples to `agg` in slice order —
-/// exactly what Device::run_steps posts live.
-void add_samples(FleetAggregate& agg, const DeviceProgress& p) {
-  const Time slice = Time::ps(p.result.slice_ps);
-  for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-    const Time busy = Time::ps(p.sample_busy_ps[k]);
-    agg.add_slice(busy / slice, busy.as_us(),
-                  Energy::pj(p.sample_energy_pj[k]).as_mj());
-  }
 }
 
 }  // namespace
@@ -302,8 +304,10 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     snap.next_slice = end_slice;
     if (from != nullptr) {
       snap.devices = from->devices;
+      snap.slices = from->slices;
     } else {
       snap.devices.resize(n);
+      snap.slices = SliceAggregate{spec.histograms};
     }
   }
   // Starts its stream in this call: no earlier segment touched it.
@@ -324,6 +328,8 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     final_out->model_names.reserve(models.size());
     for (const nn::Model& m : models) final_out->model_names.push_back(m.name());
     if (options_.keep_results) final_out->devices.resize(n);
+    // The slices earlier segments executed, already folded.
+    if (from != nullptr) final_out->aggregate.slices.merge(from->slices);
   }
 
   // One slot per shard, each on its own cache line: a worker finishing
@@ -332,8 +338,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   struct alignas(kCacheLine) ShardSlot {
     FleetAggregate agg;
   };
-  std::vector<ShardSlot> shard_aggs(final_segment ? shards : 0,
-                                    ShardSlot{FleetAggregate{spec.histograms}});
+  std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
 
   // Per (firmware, model) pair — flattened as firmware * n_models + model,
   // which fully determines a device's processor — its SystemConfig and its
@@ -360,8 +365,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   // pair's would cost a LUT build for nothing.
   struct PairMemoInfo {
     std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
-    Time slice = Time::zero();
-    std::int64_t slice_ps = 0;
+    std::int64_t slice_ps = 0;     ///< slice length T
   };
   std::vector<PairMemoInfo> memo_info(memo != nullptr ? n_pairs : 0);
   if (memo != nullptr) {
@@ -375,8 +379,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
           reuse_keys[pair], fw_cfgs[pair / n_models], models[pair % n_models]);
       PairMemoInfo& info = memo_info[pair];
       info.init_state = lease.get().state_digest();
-      info.slice = lease.get().slice_length();
-      info.slice_ps = info.slice.as_ps();
+      info.slice_ps = lease.get().slice_length().as_ps();
     }
   }
 
@@ -395,10 +398,8 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   // Per-worker scratch, reused across its shards (assign() keeps capacity).
   // The SoA arrays are the hot state of one shard's replay lanes: a memo-hit
   // device advances entirely inside them — no Processor, no Battery, no
-  // per-device allocation. sample_* buffer phase 1's per-slice aggregate
-  // samples so phase 2 can flush them device-major, in the exact order the
-  // exact path feeds FleetAggregate (Summary adds are order-sensitive in
-  // the last floating-point bit).
+  // per-device allocation — and folds each slice into the shard aggregate
+  // on the spot (the slice half of FleetAggregate is order-free).
   struct WorkerScratch {
     std::vector<int> exact_loads;          ///< exact-path trace buffer
     std::vector<std::vector<int>> loads;   ///< per-lane trace, buffers reused
@@ -406,6 +407,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     std::vector<std::int32_t> join;        ///< global slice of local step 0
     std::vector<std::uint8_t> drain;       ///< runs the trailing drain slice?
     std::vector<std::uint8_t> replay;      ///< lane still on the memo path?
+    std::vector<std::int32_t> posted;      ///< steps folded before parking
     std::vector<double> charge_pj;         ///< Battery::charge mirror
     std::vector<std::uint8_t> mode;        ///< DeviceMode
     std::vector<std::uint32_t> switches;   ///< AdaptivePolicy::switches mirror
@@ -421,8 +423,6 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     std::vector<std::uint64_t> tasks;
     std::vector<std::uint64_t> deadline_violations;
     std::vector<std::int32_t> low_power;
-    std::vector<std::int64_t> sample_busy_ps;   ///< count x (slices+1)
-    std::vector<double> sample_energy_pj;       ///< count x (slices+1)
     OutcomeRecorder recorder;
     /// The shard's recorded outcomes, published in ONE insert at
     /// shard end: all of a shard's lookups happen in phase 1, before any
@@ -466,6 +466,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       scratch.join.resize(count);
       scratch.drain.resize(count);
       scratch.replay.resize(count);
+      scratch.posted.assign(count, 0);
       scratch.charge_pj.assign(count, initial_charge_pj);
       scratch.mode.assign(count, k_dynamic);
       scratch.switches.assign(count, 0);
@@ -481,8 +482,6 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       scratch.tasks.assign(count, 0);
       scratch.deadline_violations.assign(count, 0);
       scratch.low_power.assign(count, 0);
-      scratch.sample_busy_ps.resize(count * total_slices);
-      scratch.sample_energy_pj.resize(count * total_slices);
       for (std::size_t i = 0; i < count; ++i) {
         // Devices an earlier segment started never enter a lane.
         scratch.replay[i] = fresh(begin + i) ? 1 : 0;
@@ -504,8 +503,9 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       // Device::run_steps does around run_slice: hysteresis on the
       // pre-drain SoC, then the battery clamp on the outcome's *requested*
       // energy. A cold key or a clamped drain (exhaustion boundary) parks
-      // the lane for the exact path — its partial lane state is discarded
-      // wholesale, so nothing double-counts.
+      // the lane at step k for the exact path: its partial lane state is
+      // discarded, but the k slices it already folded into `agg` stay, and
+      // the exact path runs those k steps without posting them again.
       for (std::size_t k = 0; k < total_slices; ++k) {
         for (std::size_t i = 0; i < count; ++i) {
           if (scratch.replay[i] == 0) continue;
@@ -553,6 +553,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
           if (out == nullptr) {
             ++shard_misses;
             scratch.replay[i] = 0;  // cold key -> exact path
+            scratch.posted[i] = static_cast<std::int32_t>(k);
             continue;
           }
           ++shard_hits;
@@ -561,6 +562,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
               requested < scratch.charge_pj[i] ? requested : scratch.charge_pj[i];
           if (drained < requested) {
             scratch.replay[i] = 0;  // exhaustion boundary -> exact path
+            scratch.posted[i] = static_cast<std::int32_t>(k);
             continue;
           }
           scratch.charge_pj[i] -= drained;
@@ -572,8 +574,8 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
           scratch.movement_ps[i] += out->movement_ps;
           scratch.host_cycles[i] += out->host_cycles;
           if (scratch.mode[i] == k_low_power) ++scratch.low_power[i];
-          scratch.sample_busy_ps[i * total_slices + k] = out->busy_ps;
-          scratch.sample_energy_pj[i * total_slices + k] = out->energy_pj;
+          agg.slices.add(out->busy_ps, memo_info[pair_of(ds)].slice_ps,
+                         out->energy_pj);
           scratch.state[i] = out->post_state;
           scratch.buffered[i] =
               k < scratch.loads[i].size() ? scratch.loads[i][k] : 0;
@@ -582,9 +584,9 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       scratch.pending.clear();
     }
 
-    // Phase 2 — the device loop, in device order. Per device, all
-    // add_slice calls in slice order followed by one add_device: the exact
-    // device-major order an uninterrupted exact run feeds the aggregate.
+    // Phase 2 — the device loop, in device order: one add_device per
+    // finished device, the order the device Summaries depend on. Slices
+    // fold into `agg` wherever they run.
     std::uint64_t shard_replayed = 0;
     std::uint64_t shard_exact = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -592,11 +594,11 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       const std::size_t lane = i - begin;
       const DeviceProgress* const prev = from != nullptr ? &from->devices[i] : nullptr;
       if (prev != nullptr && prev->done) {
-        // Finished in an earlier segment: the final segment replays its
-        // buffered samples and emits its stored result at its ordinal
-        // position; a bounded one carries it over untouched.
+        // Finished in an earlier segment (its slices are in
+        // from->slices): the final segment adds and emits its stored
+        // result at its ordinal position; a bounded one carries it over
+        // untouched.
         if (final_segment) {
-          add_samples(agg, *prev);
           agg.add_device(prev->result);
           emit(i, prev->result);
         }
@@ -607,15 +609,12 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
 
       if (memo != nullptr && scratch.replay[lane] != 0) {
         // Replayed lane: materialize its DeviceResult from the lane state.
-        const PairMemoInfo& info = memo_info[pair_of(ds)];
-        const auto dev_steps = static_cast<std::size_t>(scratch.steps[lane]);
-        const auto total_slices = static_cast<std::size_t>(spec.slices) + 1;
         DeviceResult r;
         r.id = ds.id;
         r.model_index = static_cast<std::uint32_t>(ds.model_index);
         r.scenario = ds.scenario;
         r.seed = ds.seed;
-        r.slice_ps = info.slice_ps;
+        r.slice_ps = memo_info[pair_of(ds)].slice_ps;
         r.slices_total = scratch.steps[lane];
         r.slices_executed = scratch.steps[lane];
         r.tasks = scratch.tasks[lane];
@@ -637,12 +636,6 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
         r.host_cycles = scratch.host_cycles[lane];
         r.latency_slo_ps = ds.latency_slo_ps;
         r.tier_switches = scratch.tier_switches[lane];
-        for (std::size_t k = 0; k < dev_steps; ++k) {
-          const Time busy = Time::ps(scratch.sample_busy_ps[lane * total_slices + k]);
-          agg.add_slice(
-              busy / info.slice, busy.as_us(),
-              Energy::pj(scratch.sample_energy_pj[lane * total_slices + k]).as_mj());
-        }
         agg.add_device(r);
         ++shard_replayed;
         emit(i, std::move(r));
@@ -673,16 +666,15 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       Device dev{spec, ds, models[ds.model_index], *proc};
 
       if (!final_segment) {
-        // Bounded segment: run up to end_slice, buffering the samples for
-        // the final segment, and capture what the next segment resumes.
+        // Bounded segment: run up to end_slice, folding its slices into the
+        // shard aggregate, and capture what the next segment resumes.
         DeviceProgress& p = snap.devices[i];
         if (resumed) {
           dev.restore_progress(p);
         } else {
           dev.start_progress(p, *loads);
         }
-        if (dev.run_steps(p, *loads, end_slice - ds.join_slice, nullptr, nullptr,
-                          /*buffer_samples=*/true)) {
+        if (dev.run_steps(p, *loads, end_slice - ds.join_slice, &agg, nullptr)) {
           p.proc_state.clear();  // finished devices carry no processor blob
         } else {
           dev.capture_progress(p);
@@ -696,7 +688,6 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       OutcomeRecorder* recorder = nullptr;
       if (resumed) {
         dev.restore_progress(*prev);
-        add_samples(agg, *prev);
         p.result = prev->result;
         p.next_k = prev->next_k;
         p.buffered = prev->buffered;
@@ -706,6 +697,12 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
           recorder = &scratch.recorder;
           recorder->reuse_key = reuse_keys[pair];
           recorder->recorded.clear();
+          // The lane folded its first `posted` slices in phase 1; by memo
+          // soundness these steps repeat them bit for bit, so they run
+          // without posting.
+          if (scratch.posted[lane] > 0) {
+            (void)dev.run_steps(p, *loads, scratch.posted[lane], nullptr, recorder);
+          }
         }
       }
       (void)dev.run_steps(p, *loads, dev.total_steps(*loads), &agg, recorder);
@@ -735,7 +732,7 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
       memo_hits.fetch_add(shard_hits, std::memory_order_relaxed);
       memo_misses.fetch_add(shard_misses, std::memory_order_relaxed);
     }
-    if (final_segment) shard_aggs[s].agg = std::move(agg);
+    shard_aggs[s].agg = std::move(agg);
   };
 
   const unsigned workers = resolve_workers(options_.threads, shards);
@@ -771,11 +768,14 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     for (std::thread& t : threads) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  if (!final_segment) return snap;
+  if (!final_segment) {
+    for (const ShardSlot& slot : shard_aggs) snap.slices.merge(slot.agg.slices);
+    return snap;
+  }
 
-  // Merge in shard-index order: Summary merges are order-sensitive in the
-  // last floating-point bit, so a fixed order keeps output byte-identical
-  // at any thread count.
+  // Merge in shard-index order: the device Summaries are order-sensitive in
+  // the last floating-point bit, so a fixed order keeps output
+  // byte-identical at any thread count.
   for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
   if (cache != nullptr) count_lut_builds(device_specs, models, firmwares, *final_out);
   if (memo != nullptr) {

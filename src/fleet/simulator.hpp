@@ -16,25 +16,30 @@
 //     (resolve_workers). Processors come from one sys::ProcessorPool shared
 //     by all workers (FleetOptions::reuse_processors).
 //   * Each device takes one of four ways through the shard loop:
-//       - finished in an earlier segment: its stored samples and result
-//         are replayed into the aggregate;
+//       - finished in an earlier segment: its stored result is added to
+//         the aggregate (its slices are in the snapshot's SliceAggregate);
 //       - started in an earlier segment: restored and run to completion on
 //         the exact Device path;
 //       - in a bounded segment (run_to): run up to the segment end on the
-//         exact path, samples buffered into the returned snapshot;
+//         exact path, its slices folded into the returned snapshot's
+//         SliceAggregate;
 //       - starting and finishing inside this call (all of run()'s): with
 //         FleetOptions::memoize_devices, advanced through the device
 //         outcome memo (fleet::OutcomeCache) in SoA lanes — a memo hit
 //         advances a lane without touching a sys::Processor. Devices that
 //         miss (cold keys, exhaustion-boundary slices) fall back to the
 //         exact path, recording their outcomes for everyone after them.
+//     Every executed slice folds into its shard's aggregate where it runs —
+//     a memo lane in phase 1, the exact path, a bounded segment — since
+//     the slice statistics merge exactly in any order.
 //         Replayed output is byte-identical to the exact path (see
 //         docs/PERF.md "Device-level memoization").
 //   * When FleetOptions::shard_dir is set, each worker streams its shard's
 //     device lines to <dir>/shard-NNNNN.jsonl as the shard completes — a
 //     fleet of millions never holds all results in memory
 //     (keep_results = false drops them after the shard file is written).
-//   * After the pool joins, shard aggregates merge in shard-index order.
+//   * After the pool joins, shard aggregates merge in shard-index order
+//     (the per-device Summaries are the one order-sensitive part).
 //
 // Determinism: device results depend only on the DeviceSpec (loads are
 // generated from its scenario config; the only shared objects are the
@@ -180,9 +185,9 @@ class FleetSimulator {
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
   /// trailing drain slices belong to the final segment (resume). Bounded
   /// segments run the exact Device path (to which the memo path is
-  /// byte-identical), buffering per-slice aggregate samples in the
-  /// snapshot; no JSONL or aggregates are produced until resume(). The
-  /// snapshot is pinned to
+  /// byte-identical), folding their slices into the snapshot's
+  /// SliceAggregate; no JSONL or device aggregates are produced until
+  /// resume(). The snapshot is pinned to
   /// FleetSpec::content_digest() — run_to/resume throw std::runtime_error
   /// on a digest mismatch, std::invalid_argument on a bad window.
   [[nodiscard]] FleetSnapshot run_to(const FleetSpec& spec, int end_slice,

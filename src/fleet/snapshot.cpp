@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
@@ -13,9 +15,11 @@ namespace {
 // "hhpimsnp", little-endian. Version bumps whenever the payload layout
 // changes incompatibly; a reader never guesses at another layout. Version 2
 // dropped version 1's LUT-build counters (lut_builds and the counted-key
-// list) from the header.
+// list) from the header. Version 3 replaced version 2's per-device sample
+// buffers (tag 4, 16 bytes per executed slice) with one slice aggregate in
+// the header.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 // Per-device field tags. Explicit tags (rather than bare field order) keep
 // the format self-describing: a reader meeting a tag it does not know
@@ -24,7 +28,7 @@ enum : std::uint16_t {
   kTagFlags = 1,    ///< u8: bit0 started, bit1 done
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
-  kTagSamples = 4,  ///< buffered per-slice aggregate samples
+  // 4 was version 2's per-slice sample buffer; it is not reused.
   kTagProc = 5,     ///< Processor::save_state blob (live devices only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
@@ -54,6 +58,77 @@ std::uint64_t digest_bytes(std::string_view bytes) {
     h.add(chunk);
   }
   return h.digest();
+}
+
+/// Throws unless `count` items of at least `min_bytes` each fit in what is
+/// left of the payload — checked before anything is reserved, so a damaged
+/// count fails with a diagnostic instead of a giant allocation.
+void check_count(const ByteReader& r, std::uint64_t count, std::size_t min_bytes,
+                 const char* what) {
+  if (count > r.remaining() / min_bytes) {
+    throw std::runtime_error("snapshot: " + std::string(what) + " count " +
+                             std::to_string(count) + " exceeds the " +
+                             std::to_string(r.remaining()) +
+                             " payload bytes left at offset " +
+                             std::to_string(r.position()));
+  }
+}
+
+void write_wide(ByteWriter& w, sim::ExactSummary::Wide v) {
+  w.u64(static_cast<std::uint64_t>(v));
+  w.u64(static_cast<std::uint64_t>(v >> 64));
+}
+
+sim::ExactSummary::Wide read_wide(ByteReader& r) {
+  const std::uint64_t lo = r.u64();
+  return static_cast<sim::ExactSummary::Wide>(r.u64()) << 64 | lo;
+}
+
+void write_histogram(ByteWriter& w, const sim::Histogram& h) {
+  w.f64(h.lo());
+  w.f64(h.hi());
+  w.u64(static_cast<std::uint64_t>(h.bins().size()));
+  for (const std::uint64_t b : h.bins()) w.u64(b);
+  w.u64(h.underflow());
+  w.u64(h.overflow());
+}
+
+sim::Histogram read_histogram(ByteReader& r) {
+  const double lo = r.f64();
+  const double hi = r.f64();
+  const std::uint64_t n = r.u64();
+  if (!(hi > lo) || n == 0) {
+    throw std::runtime_error("snapshot: malformed histogram shape at offset " +
+                             std::to_string(r.position()));
+  }
+  check_count(r, n, 8, "histogram bin");
+  std::vector<std::uint64_t> bins(static_cast<std::size_t>(n));
+  for (std::uint64_t& b : bins) b = r.u64();
+  const std::uint64_t underflow = r.u64();
+  const std::uint64_t overflow = r.u64();
+  return sim::Histogram::from_counts(lo, hi, std::move(bins), underflow, overflow);
+}
+
+void write_slices(ByteWriter& w, const SliceAggregate& a) {
+  write_histogram(w, a.busy_frac);
+  write_histogram(w, a.energy_mj);
+  w.u64(a.busy_ps.count());
+  w.u64(a.busy_ps.min());
+  w.u64(a.busy_ps.max());
+  write_wide(w, a.busy_ps.sum());
+  write_wide(w, a.busy_ps.sum_sq());
+}
+
+SliceAggregate read_slices(ByteReader& r) {
+  SliceAggregate a;
+  a.busy_frac = read_histogram(r);
+  a.energy_mj = read_histogram(r);
+  const std::uint64_t count = r.u64();
+  const std::uint64_t min = r.u64();
+  const std::uint64_t max = r.u64();
+  const sim::ExactSummary::Wide sum = read_wide(r);
+  a.busy_ps = sim::ExactSummary::from_parts(count, min, max, sum, read_wide(r));
+  return a;
 }
 
 void write_device(ByteWriter& w, const DeviceProgress& p) {
@@ -88,13 +163,6 @@ void write_device(ByteWriter& w, const DeviceProgress& p) {
   w.u32(p.switches);
   w.i32(p.buffered);
   w.f64(p.charge_pj);
-
-  w.u16(kTagSamples);
-  w.u64(static_cast<std::uint64_t>(p.sample_busy_ps.size()));
-  for (std::size_t i = 0; i < p.sample_busy_ps.size(); ++i) {
-    w.i64(p.sample_busy_ps[i]);
-    w.f64(p.sample_energy_pj[i]);
-  }
 
   if (!p.proc_state.empty()) {
     w.u16(kTagProc);
@@ -154,16 +222,6 @@ DeviceProgress read_device(ByteReader& r) {
         p.buffered = r.i32();
         p.charge_pj = r.f64();
         break;
-      case kTagSamples: {
-        const std::uint64_t n = r.u64();
-        p.sample_busy_ps.reserve(static_cast<std::size_t>(n));
-        p.sample_energy_pj.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-          p.sample_busy_ps.push_back(r.i64());
-          p.sample_energy_pj.push_back(r.f64());
-        }
-        break;
-      }
       case kTagProc:
         p.proc_state = std::string(r.blob());
         break;
@@ -192,6 +250,7 @@ std::string FleetSnapshot::to_bytes() const {
   ByteWriter payload;
   payload.u64(spec_digest);
   payload.u32(static_cast<std::uint32_t>(next_slice));
+  write_slices(payload, slices);
   payload.u64(static_cast<std::uint64_t>(devices.size()));
   for (const DeviceProgress& p : devices) write_device(payload, p);
 
@@ -230,7 +289,10 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
   FleetSnapshot snap;
   snap.spec_digest = r.u64();
   snap.next_slice = static_cast<int>(r.u32());
+  snap.slices = read_slices(r);
   const std::uint64_t n_devices = r.u64();
+  // The smallest device record is its 2-byte end tag.
+  check_count(r, n_devices, 2, "device");
   snap.devices.reserve(static_cast<std::size_t>(n_devices));
   for (std::uint64_t i = 0; i < n_devices; ++i) {
     snap.devices.push_back(read_device(r));

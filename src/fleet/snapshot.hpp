@@ -7,8 +7,17 @@
 // — whose concatenated output (JSONL shards, summary, FleetResult) is
 // byte-identical to one uninterrupted run at any thread count (pinned by
 // tests/test_snapshot.cpp). The format fails loudly: truncated, corrupted,
-// version-skewed or wrong-spec blobs all throw std::runtime_error with a
-// diagnostic — a snapshot is never silently misread.
+// version-skewed or wrong-spec blobs, and counts that outrun the payload,
+// all throw std::runtime_error with a diagnostic — a snapshot is never
+// silently misread.
+//
+// What is stored: per device, its resumable DeviceProgress (a fixed-size
+// record plus the processor blob of a live device); per snapshot, one
+// SliceAggregate holding every slice executed so far (two histograms and
+// the exact busy-time summary). Slice statistics merge exactly, so each
+// segment folds its slices in as they run and the next segment continues
+// from the carried aggregate — the snapshot's size follows the device
+// count, not the slice count.
 //
 // What is NOT stored: load traces (regenerated from the spec — exact),
 // LUT-cache contents (rebuilt per process; the summary's lut_builds and
@@ -24,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fleet/aggregate.hpp"
 #include "fleet/device.hpp"
 
 namespace hhpim::fleet {
@@ -35,6 +45,10 @@ struct FleetSnapshot {
   /// First global slice the next segment executes (== the `end_slice` the
   /// producing run_to was given).
   int next_slice = 0;
+  /// The slices every segment before next_slice executed, folded. A
+  /// hand-built snapshot must give it the spec's AggregateShape (the
+  /// default shape matches a default FleetSpec).
+  SliceAggregate slices;
   /// One entry per device, in id order (devices not yet joined included,
   /// with started == false).
   std::vector<DeviceProgress> devices;
@@ -45,7 +59,8 @@ struct FleetSnapshot {
 
   /// Parses to_bytes() output. Throws std::runtime_error on a bad magic, a
   /// format version other than this build's, a checksum mismatch, a
-  /// truncated stream, or an unknown field tag.
+  /// truncated stream, a count larger than the bytes left could hold, or
+  /// an unknown field tag.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 
   /// to_bytes()/from_bytes() through a file. Throw std::runtime_error on

@@ -43,6 +43,71 @@ double Summary::variance() const {
 
 double Summary::stddev() const { return std::sqrt(variance()); }
 
+void ExactSummary::add(std::uint64_t v) {
+  ++count_;
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
+  sum_ += v;
+  sum_sq_ += static_cast<Wide>(v) * v;
+}
+
+void ExactSummary::merge(const ExactSummary& o) {
+  count_ += o.count_;
+  min_ = std::min(min_, o.min_);
+  max_ = std::max(max_, o.max_);
+  sum_ += o.sum_;
+  sum_sq_ += o.sum_sq_;
+}
+
+ExactSummary ExactSummary::from_parts(std::uint64_t count, std::uint64_t min,
+                                      std::uint64_t max, Wide sum, Wide sum_sq) {
+  ExactSummary s;
+  if (count == 0) return s;  // an empty summary's min is its sentinel
+  s.count_ = count;
+  s.min_ = min;
+  s.max_ = max;
+  s.sum_ = sum;
+  s.sum_sq_ = sum_sq;
+  return s;
+}
+
+double ExactSummary::mean() const {
+  if (count_ == 0) return 0.0;
+  // q + r/n with q, r = divmod(sum, n): q fits 64 bits (it is at most max).
+  const Wide q = sum_ / count_;
+  const Wide r = sum_ % count_;
+  return static_cast<double>(q) +
+         static_cast<double>(r) / static_cast<double>(count_);
+}
+
+double ExactSummary::variance() const {
+  if (count_ < 2) return 0.0;
+  // With q, r = divmod(S1, n): sum (x - q)^2 = S2 - n q^2 - 2 q r exactly
+  // (an integer, and never negative), and M2 = sum (x - mean)^2 is that
+  // minus r^2 / n. Constant samples give r = 0 and a zero integer part.
+  const Wide n = count_;
+  const Wide q = sum_ / n;
+  const Wide r = sum_ % n;
+  const Wide about_q = sum_sq_ - n * q * q - 2 * q * r;
+  const double rd = static_cast<double>(r);
+  const double m2 = static_cast<double>(about_q) - rd * rd / static_cast<double>(count_);
+  return std::max(m2, 0.0) / static_cast<double>(count_ - 1);
+}
+
+double ExactSummary::stddev() const { return std::sqrt(variance()); }
+
+Histogram Histogram::from_counts(double lo, double hi,
+                                 std::vector<std::uint64_t> bins,
+                                 std::uint64_t underflow, std::uint64_t overflow) {
+  Histogram h{lo, hi, bins.size()};
+  h.total_ = underflow + overflow;
+  for (const std::uint64_t b : bins) h.total_ += b;
+  h.bins_ = std::move(bins);
+  h.underflow_ = underflow;
+  h.overflow_ = overflow;
+  return h;
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), bins_(bins, 0) {
   if (!(hi > lo) || bins == 0) {

@@ -33,6 +33,45 @@ class Summary {
   double mean_ = 0.0; // Welford
 };
 
+/// Exact count / min / max / mean / variance over non-negative integer
+/// samples: an integer count, min and max plus a 128-bit sum and sum of
+/// squares. Every add and merge is an integer operation, so any insertion
+/// order and any merge tree give the same bits — unlike Summary, whose
+/// floating-point Welford state depends on both. Mean and variance are
+/// derived only when read. The sum of squares holds up to 2^128 - 1
+/// (e.g. ~1e14 samples of 1.7e12 each); nothing checks for wrap past it.
+class ExactSummary {
+ public:
+  using Wide = unsigned __int128;
+
+  void add(std::uint64_t v);
+  /// Associative and commutative, bit for bit.
+  void merge(const ExactSummary& other);
+
+  /// Rebuilds a summary from its raw parts (deserialization).
+  [[nodiscard]] static ExactSummary from_parts(std::uint64_t count, std::uint64_t min,
+                                               std::uint64_t max, Wide sum,
+                                               Wide sum_sq);
+
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
+  [[nodiscard]] std::uint64_t max() const { return max_; }
+  [[nodiscard]] Wide sum() const { return sum_; }
+  [[nodiscard]] Wide sum_sq() const { return sum_sq_; }
+  [[nodiscard]] double mean() const;
+  /// n-1 (sample) variance, like Summary::variance; exactly 0 for constant
+  /// samples.
+  [[nodiscard]] double variance() const;
+  [[nodiscard]] double stddev() const;
+
+ private:
+  std::uint64_t count_ = 0;
+  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_ = 0;
+  Wide sum_ = 0;
+  Wide sum_sq_ = 0;
+};
+
 /// Histogram with uniform bins over [lo, hi); out-of-range samples land in
 /// saturating underflow/overflow bins.
 ///
@@ -53,6 +92,15 @@ class Histogram {
 
   void reset();
 
+  /// Rebuilds a histogram from its raw counts (deserialization); total is
+  /// their sum. Throws std::invalid_argument like the constructor.
+  [[nodiscard]] static Histogram from_counts(double lo, double hi,
+                                             std::vector<std::uint64_t> bins,
+                                             std::uint64_t underflow,
+                                             std::uint64_t overflow);
+
+  [[nodiscard]] double lo() const { return lo_; }
+  [[nodiscard]] double hi() const { return hi_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }

@@ -5,13 +5,18 @@
 // byte-identical JSONL, shard files and summary JSON.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "energy/battery.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
@@ -125,6 +130,57 @@ TEST(HistogramMerge, ExactAcrossSplits) {
     EXPECT_EQ(a.bins()[i], whole.bins()[i]);
   }
   EXPECT_DOUBLE_EQ(a.quantile(0.5), whole.quantile(0.5));
+
+  // The busy-time accumulator is exact too: any insertion order and any
+  // merge order give the same bits.
+  std::vector<std::uint64_t> samples;
+  SplitMix64 rng{0xb05ULL};
+  for (int i = 0; i < 1000; ++i) samples.push_back(rng.next() % 5'000'000'000ULL);
+  sim::ExactSummary in_order;
+  for (const std::uint64_t v : samples) in_order.add(v);
+  std::vector<std::uint64_t> shuffled = samples;
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.next() % (i + 1)]);
+  }
+  std::vector<sim::ExactSummary> shards(7);
+  for (std::size_t i = 0; i < shuffled.size(); ++i) shards[i % 7].add(shuffled[i]);
+  sim::ExactSummary reversed;
+  for (auto it = shards.rbegin(); it != shards.rend(); ++it) reversed.merge(*it);
+  EXPECT_EQ(reversed.count(), in_order.count());
+  EXPECT_EQ(reversed.min(), in_order.min());
+  EXPECT_EQ(reversed.max(), in_order.max());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed.mean()),
+            std::bit_cast<std::uint64_t>(in_order.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed.stddev()),
+            std::bit_cast<std::uint64_t>(in_order.stddev()));
+
+  // An empty summary rebuilt from its written parts (min() reads 0) is
+  // still a merge identity.
+  sim::ExactSummary with_empty = in_order;
+  with_empty.merge(sim::ExactSummary::from_parts(0, sim::ExactSummary{}.min(), 0, 0, 0));
+  EXPECT_EQ(with_empty.min(), in_order.min());
+  EXPECT_EQ(with_empty.count(), in_order.count());
+
+  // It agrees with the floating-point Welford summary it replaces.
+  sim::Summary welford;
+  for (const std::uint64_t v : samples) welford.add(static_cast<double>(v));
+  EXPECT_NEAR(in_order.mean(), welford.mean(), 1e-12 * welford.mean());
+  EXPECT_NEAR(in_order.stddev(), welford.stddev(), 1e-9 * welford.stddev());
+
+  // Constant samples have a stddev of exactly 0, not a rounding residue.
+  sim::ExactSummary constant;
+  for (int i = 0; i < 999; ++i) constant.add(1'234'567'891ULL);
+  EXPECT_EQ(constant.stddev(), 0.0);
+  EXPECT_EQ(constant.mean(), 1'234'567'891.0);
+
+  // Week-scale slices (up to 1.7e12 ps each) square past 64 bits; the
+  // 128-bit sums hold them.
+  constexpr std::uint64_t kBig = 1'700'000'000'000ULL;
+  sim::ExactSummary big;
+  for (int i = 0; i < 10'000; ++i) big.add(i % 2 == 0 ? kBig : kBig - 2);
+  EXPECT_EQ(big.mean(), static_cast<double>(kBig - 1));
+  // Population stddev is exactly 1; the n-1 form is sqrt(n / (n - 1)).
+  EXPECT_NEAR(big.stddev(), std::sqrt(10'000.0 / 9'999.0), 1e-12);
 }
 
 TEST(HistogramMerge, ShapeMismatchThrows) {

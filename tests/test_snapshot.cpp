@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
@@ -312,6 +314,45 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
 
 // --- loud failure: window, digest, blob --------------------------------------
 
+std::uint64_t read_u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t j = 0; j < 8; ++j) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + j]))
+         << (8 * j);
+  }
+  return v;
+}
+
+/// The snapshot checksum: FNV-1a over the payload length, then the payload
+/// in little-endian 8-byte words (zero-padded tail).
+std::uint64_t payload_checksum(std::string_view payload) {
+  Fnv1a h;
+  h.add(static_cast<std::uint64_t>(payload.size()));
+  for (std::size_t i = 0; i < payload.size(); i += 8) {
+    std::uint64_t chunk = 0;
+    for (std::size_t j = 0; j < 8 && i + j < payload.size(); ++j) {
+      chunk |= static_cast<std::uint64_t>(static_cast<unsigned char>(payload[i + j]))
+               << (8 * j);
+    }
+    h.add(chunk);
+  }
+  return h.digest();
+}
+
+/// `bytes` with the u64 at `at` replaced by `v` and the checksum redone, so
+/// only the payload walk can catch the change.
+std::string patch_u64(std::string bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t j = 0; j < 8; ++j) {
+    bytes[at + j] = static_cast<char>((v >> (8 * j)) & 0xffu);
+  }
+  const std::uint64_t sum =
+      payload_checksum(std::string_view{bytes}.substr(12, bytes.size() - 20));
+  for (std::size_t j = 0; j < 8; ++j) {
+    bytes[bytes.size() - 8 + j] = static_cast<char>((sum >> (8 * j)) & 0xffu);
+  }
+  return bytes;
+}
+
 TEST(Snapshot, RejectsBadWindows) {
   const FleetSpec spec = small_fleet(4, 6);
   placement::LutCache lut;
@@ -403,22 +444,64 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
 
-  // An older format version is refused too, naming both versions: a
-  // version-1 payload carries LUT-build counters this build does not read.
-  std::string v1 = bytes;
-  v1[8] = 1;
-  try {
-    (void)FleetSnapshot::from_bytes(v1);
-    FAIL() << "version-1 blob was accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  // Older format versions are refused too, naming both versions: a
+  // version-1 payload carries LUT-build counters and a version-2 payload
+  // per-slice sample buffers, neither of which this build reads.
+  for (const int old_version : {1, 2}) {
+    std::string old = bytes;
+    old[8] = static_cast<char>(old_version);
+    try {
+      (void)FleetSnapshot::from_bytes(old);
+      FAIL() << "version-" << old_version << " blob was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(old_version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+    }
+  }
+
+  // A count larger than the rest of the payload could hold — here a
+  // checksum-valid blob whose device count, or histogram bin count, is
+  // 2^40 — is named in the error before anything is allocated for it.
+  const AggregateShape shape;
+  const std::size_t hist_bins_at = 12 + 8 + 4 + 16;  // header, digest, slice, lo/hi
+  const std::size_t devices_at =
+      12 + 8 + 4 + 2 * (3 * 8 + 2 * 8) +
+      8 * (shape.busy_frac_bins + shape.slice_energy_bins) + 7 * 8;
+  ASSERT_EQ(read_u64_at(bytes, hist_bins_at), shape.busy_frac_bins);
+  ASSERT_EQ(read_u64_at(bytes, devices_at), 6u);
+  for (const std::size_t at : {devices_at, hist_bins_at}) {
+    const std::string huge = patch_u64(bytes, at, std::uint64_t{1} << 40);
+    try {
+      (void)FleetSnapshot::from_bytes(huge);
+      FAIL() << "count 2^40 at offset " << at << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("count 1099511627776"), std::string::npos) << what;
+    }
   }
 
   // Trailing garbage after the checksum is not silently ignored.
   EXPECT_THROW((void)FleetSnapshot::from_bytes(bytes + "x"),
                std::runtime_error);
+}
+
+TEST(Snapshot, BytesFollowDevicesNotSlices) {
+  // Every device stays live to the horizon, so each snapshot holds the same
+  // records — a processor blob apiece. Twice the executed slices must not
+  // make the snapshot bigger: slices fold into one aggregate.
+  FleetSpec spec = small_fleet(12, 40);
+  spec.battery.capacity = Energy::mj(1e6);
+  placement::LutCache lut;
+  const FleetSimulator sim{base_options(1, false, &lut, nullptr)};
+  const std::size_t at_k = sim.run_to(spec, 10).to_bytes().size();
+  const std::size_t at_2k = sim.run_to(spec, 20).to_bytes().size();
+  EXPECT_LE(static_cast<double>(at_2k), 1.01 * static_cast<double>(at_k))
+      << "k: " << at_k << " B, 2k: " << at_2k << " B";
+  EXPECT_GE(static_cast<double>(at_2k), 0.99 * static_cast<double>(at_k))
+      << "k: " << at_k << " B, 2k: " << at_2k << " B";
 }
 
 // --- lifecycle / envelope / charging semantics -------------------------------
